@@ -26,8 +26,8 @@ from .jacobi import (
     ParameterError,
     gauss_jacobi_01,
     norm_h,
-    orthonormal_eval,
     jacobi_eval,
+    jacobi_eval_all,
 )
 
 
@@ -102,15 +102,34 @@ class BallPoint:
 
 # -- radial profiles --------------------------------------------------------
 
-def wfunc_radial(spec: BasisSpec, n: int, r):
-    """Radial factor of the weighted disc basis (everything except e^{im theta})."""
+def _jacobi_rows(n, params: JacobiParams, x):
+    """(P, sqrt(h)) for the degrees in n, from one recurrence table.
+
+    n is a degree or a 1-D sequence of degrees.  An int gives P of shape(x);
+    a sequence gives shape (len(n),) + shape(x), with sqrt(h) shaped to
+    broadcast against it.  Row k of the table does not depend on how many
+    rows are built, so each row equals the single-degree value bit for bit.
+    """
+    ns = np.asarray(n)
+    if ns.size == 0 or not np.issubdtype(ns.dtype, np.integer):
+        raise ParameterError(f"degrees must be one or more integers, got {n!r}")
+    table = jacobi_eval_all(int(ns.max()), params, x)[ns]
+    h = np.array([norm_h(int(k), params) for k in ns.ravel()])
+    return table, np.sqrt(h).reshape(ns.shape + (1,) * (table.ndim - ns.ndim))
+
+
+def wfunc_radial(spec: BasisSpec, n, r):
+    """Radial factor of the weighted disc basis (everything except e^{im theta}).
+
+    n is a degree or a 1-D sequence of degrees; a sequence gives one row per
+    degree, all from one O(max n) recurrence pass per radius.
+    """
     a, b = spec.alpha, spec.beta
     r = np.asarray(r, dtype=float)
     scale = np.pi ** -0.5 * 2.0 ** (0.5 * (a + b))
     # (1-r)^(a/2) r^(b/2) evaluates to a literal zero at the endpoints
-    return scale * (1.0 - r) ** (0.5 * a) * r ** (0.5 * b) * orthonormal_eval(
-        n, JacobiParams(a, b), 2.0 * r - 1.0
-    )
+    p, sqrt_h = _jacobi_rows(n, JacobiParams(a, b), 2.0 * r - 1.0)
+    return scale * (1.0 - r) ** (0.5 * a) * r ** (0.5 * b) * (p / sqrt_h)
 
 
 def wfunc_eval(spec: BasisSpec, n: int, m: int, p: PolarPoint) -> complex:
@@ -120,14 +139,16 @@ def wfunc_eval(spec: BasisSpec, n: int, m: int, p: PolarPoint) -> complex:
     return wfunc_radial(spec, n, p.r) * np.exp(1j * m * p.theta)
 
 
-def ball_radial(spec: BasisSpec, n: int, r):
-    """Radial factor of the d-ball basis; reduces to wfunc_radial for d=2."""
+def ball_radial(spec: BasisSpec, n, r):
+    """Radial factor of the d-ball basis; reduces to wfunc_radial for d=2.
+
+    n is a degree or a 1-D sequence of degrees, as in wfunc_radial.
+    """
     a = spec.alpha
     r = np.asarray(r, dtype=float)
     scale = 2.0 ** a * np.pi ** (-0.5 * (spec.d - 1))
-    return scale * (r * (1.0 - r)) ** (0.5 * a) * orthonormal_eval(
-        n, JacobiParams(a, a), 2.0 * r - 1.0
-    )
+    p, sqrt_h = _jacobi_rows(n, JacobiParams(a, a), 2.0 * r - 1.0)
+    return scale * (r * (1.0 - r)) ** (0.5 * a) * (p / sqrt_h)
 
 
 def ball_phase(mvec, theta) -> complex:
@@ -150,15 +171,16 @@ def ball_basis_eval(spec: BasisSpec, n: int, mvec, p: BallPoint) -> complex:
     return ball_radial(spec, n, p.r) * ball_phase(mvec, p.theta)
 
 
-def ex1_radial(n: int, alpha: float, r):
-    """Radial factor of the polar-inner-product family of weight (1-r)^(a/2)."""
+def ex1_radial(n, alpha: float, r):
+    """Radial factor of the polar-inner-product family of weight (1-r)^(a/2).
+
+    n is a degree or a 1-D sequence of degrees, as in wfunc_radial.
+    """
     if alpha <= 1.0:
         raise ParameterError(f"this family needs alpha > 1, got {alpha}")
     r = np.asarray(r, dtype=float)
-    scale = 2.0 ** (0.5 * (alpha + 2.0)) / np.sqrt(norm_h(n, JacobiParams(alpha, 1.0)))
-    return scale * (1.0 - r) ** (0.5 * alpha) * jacobi_eval(
-        n, JacobiParams(alpha, 1.0), 2.0 * r - 1.0
-    )
+    p, sqrt_h = _jacobi_rows(n, JacobiParams(alpha, 1.0), 2.0 * r - 1.0)
+    return 2.0 ** (0.5 * (alpha + 2.0)) / sqrt_h * (1.0 - r) ** (0.5 * alpha) * p
 
 
 def ex1_basis_eval(n: int, m: int, p: PolarPoint, alpha: float) -> complex:

@@ -4,7 +4,8 @@ Each example subcommand rebuilds one experiment with its standard
 configuration, writes machine-readable artifacts (coefficient-decay tables,
 error reports, asymmetry comparisons), and asserts its own acceptance
 thresholds: the exit status is 0 iff every per-example check passes, so the
-CLI doubles as a reproduction harness.
+CLI doubles as a reproduction harness.  Invalid parameters give a one-line
+message on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec
+from .basis import BasisSpec, UsageError
 from .diffmat import (
     RADIAL_SCALE,
     asymmetry_S_ex1,
@@ -41,6 +42,7 @@ from .expand import (
     export_report_json,
     flatten_index,
 )
+from .jacobi import ParameterError
 from .pde import (
     PdeKind,
     abscissa_scan,
@@ -421,6 +423,9 @@ def main(argv=None) -> int:
     except AssertionFailure as exc:
         print(f"{config.example}: FAILED check '{exc}'")
         return 1
+    except (UsageError, ParameterError) as exc:
+        print(f"{config.example}: error: {exc}", file=sys.stderr)
+        return 2
     print(f"{config.example}: all checks passed")
     return 0
 

@@ -222,8 +222,7 @@ def ex1_S_quad(n_max: int, alpha: float, pad: int = 8) -> np.ndarray:
     """Quadrature oracle for the overlap matrix: S[m,n] = int_0^1 phi_m phi_n dr."""
     nq = n_max + 1 + pad
     r, w = gauss_jacobi_01(nq, alpha, 0.0)
-    vals = np.array([ex1_radial(n, alpha, r) / (1.0 - r) ** (0.5 * alpha)
-                     for n in range(n_max + 1)])
+    vals = ex1_radial(range(n_max + 1), alpha, r) / (1.0 - r) ** (0.5 * alpha)
     return np.einsum("k,mk,nk->mn", w, vals, vals)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import BasisSpec, BasisKind, UsageError, wfunc_radial, ball_radial, ex1_radial
 from .jacobi import JacobiParams, gauss_jacobi_01, orthonormal_all
-from .split import SplitPair, verify_pos, _angular_grid, _phase
+from .split import SplitPair, verify_pos, _angular_grid, distinct_phase
 
 
 def quad_pad(default: int = 8) -> int:
@@ -138,8 +138,13 @@ def analyze_ball3(pair: SplitPair, spec: BasisSpec, check: bool = True,
 
 
 def synthesize(coeffs: CoeffTensor, r, *thetas) -> np.ndarray:
-    """Evaluate affine part plus truncated basis sum at the given points."""
+    """Evaluate affine part plus truncated basis sum at the given points.
+
+    Radial work is one O(N) recurrence pass per distinct radius, shared by
+    every mode; each mode's phase is taken once per distinct angle tuple.
+    """
     spec = coeffs.spec
+    K = spec.K
     r = np.asarray(r, dtype=float)
     thetas = [np.asarray(t, dtype=float) for t in thetas]
     out = np.zeros(np.broadcast(r, *thetas).shape, dtype=complex)
@@ -147,30 +152,20 @@ def synthesize(coeffs: CoeffTensor, r, *thetas) -> np.ndarray:
         out = out + coeffs.pair.f0(r, *thetas)
     flat_r = np.atleast_1d(r).ravel()
     ru, inv = np.unique(flat_r, return_inverse=True)
+    radial = wfunc_radial if spec.d == 2 else ball_radial
+    rad = radial(spec, range(spec.N + 1), ru)
     if spec.d == 2:
-        rad = np.array([wfunc_radial(spec, n, ru) for n in range(spec.N + 1)])
+        modes = range(-K, K + 1)
     else:
-        rad = np.array([ball_radial(spec, n, ru) for n in range(spec.N + 1)])
-    def expand_r(vec):
-        full = vec[inv].reshape(np.atleast_1d(r).shape)
-        return full[0] if r.ndim == 0 else full
-
-    if spec.d == 2:
-        for mi in range(2 * spec.K + 1):
-            m = mi - spec.K
-            col = coeffs.fhat[:, mi]
-            if not np.any(col):
-                continue
-            prof = expand_r(col @ rad)
-            out = out + prof * _phase(m, thetas)
-    else:
-        for i1 in range(2 * spec.K + 1):
-            for i2 in range(2 * spec.K + 1):
-                col = coeffs.fhat[:, i1, i2]
-                if not np.any(col):
-                    continue
-                prof = expand_r(col @ rad)
-                out = out + prof * _phase((i1 - spec.K, i2 - spec.K), thetas)
+        modes = [(k1, k2) for k1 in range(-K, K + 1) for k2 in range(-K, K + 1)]
+    phase = distinct_phase(thetas)
+    for mode, col in zip(modes, coeffs.fhat.reshape(spec.N + 1, -1).T):
+        if not np.any(col):
+            continue
+        prof = (col @ rad)[inv].reshape(np.atleast_1d(r).shape)
+        if r.ndim == 0:
+            prof = prof[0]
+        out = out + prof * phase(mode)
     return out
 
 
@@ -238,8 +233,7 @@ def analyze_polar_weighted(f, N: int, K: int, alpha: float,
     thetas = _angular_grid(2, n_theta)
     mesh = np.meshgrid(r, *thetas, indexing="ij")
     modes = _angular_transform(f(*mesh), 2, K)
-    strip = (1.0 - r) ** (0.5 * alpha)
-    rad = np.array([ex1_radial(n, alpha, r) / strip for n in range(N + 1)])
+    rad = ex1_radial(range(N + 1), alpha, r) / (1.0 - r) ** (0.5 * alpha)
     fhat = np.empty((N + 1, 2 * K + 1), dtype=complex)
     for m in range(-K, K + 1):
         fhat[:, m + K] = (2.0 * np.pi) ** -0.5 * (rad @ (w * modes[m]))
@@ -253,7 +247,8 @@ def synthesize_polar_weighted(coeffs: CoeffTensor, r, theta) -> np.ndarray:
     out = np.zeros(np.broadcast(r, theta).shape, dtype=complex)
     flat_r = np.atleast_1d(r).ravel()
     ru, inv = np.unique(flat_r, return_inverse=True)
-    rad = np.array([ex1_radial(n, spec.alpha, ru) for n in range(spec.N + 1)])
+    rad = ex1_radial(range(spec.N + 1), spec.alpha, ru)
+    phase = distinct_phase([theta])
     for mi in range(2 * spec.K + 1):
         col = coeffs.fhat[:, mi]
         if not np.any(col):
@@ -262,7 +257,7 @@ def synthesize_polar_weighted(coeffs: CoeffTensor, r, theta) -> np.ndarray:
         prof = prof_u[inv].reshape(np.atleast_1d(r).shape)
         if r.ndim == 0:
             prof = prof[0]
-        out = out + prof * np.exp(1j * (mi - spec.K) * theta)
+        out = out + prof * phase(mi - spec.K)
     return out
 
 

@@ -89,6 +89,26 @@ def _phase(mode, thetas):
     return np.exp(1j * (k1 * thetas[0] + 2.0 * k2 * thetas[1]))
 
 
+def distinct_phase(thetas):
+    """mode -> exp(i mode.theta) on the broadcast mesh of the angle arrays.
+
+    The exponential is taken once per distinct angle tuple and gathered back
+    onto the mesh, so a tensor grid costs one exp per angle, not per point.
+    Tuples are told apart by their bit patterns, so each entry equals
+    ``_phase(mode, thetas)`` bit for bit.
+    """
+    arrays = np.broadcast_arrays(*thetas)
+    mesh = [t.ravel() for t in arrays]
+    key = np.zeros(mesh[0].size, dtype=np.int64)
+    for t in mesh:
+        _, idx = np.unique(t.view(np.int64), return_inverse=True)
+        key = key * (int(idx.max(initial=0)) + 1) + idx
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    distinct = [t[first] for t in mesh]
+    inv = inv.reshape(arrays[0].shape)
+    return lambda mode: _phase(mode, distinct)[inv]
+
+
 @dataclass
 class SplitPair:
     """Result of the splitting; f0 + f1 reproduces f pointwise."""
@@ -126,8 +146,17 @@ def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
     """Split f into an orthogonal (affine, residual) pair.
 
     f is a callable f(r, theta) (d=2) or f(r, theta1, theta2) (d=3) accepting
-    arrays, continuous on the closed box with f(1, .) = 0.
+    arrays, continuous on the closed box with f(1, .) = 0.  n_samples angular
+    samples per axis must resolve the modes up to k_max: n_samples >=
+    2*k_max + 1.  The returned f0 samples f again at the radii it is given,
+    except at the n_radial Gauss-Legendre nodes of this split (those of
+    verify_pos and inner_product at the same resolution), where it reuses
+    the samples taken here.
     """
+    if n_samples < 2 * k_max + 1:
+        raise UsageError(
+            f"n_samples={n_samples} cannot resolve k_max={k_max}: "
+            f"need n_samples >= 2*k_max+1 = {2 * k_max + 1}")
     T = template_profile(template, custom_template)
     grids = _angular_grid(d, n_samples)
     origin_mesh = np.meshgrid(np.array([0.0]), *grids, indexing="ij")
@@ -142,12 +171,13 @@ def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
 
     c = {}
     g = {}
+    resid_at_nodes = {}   # mode -> f_mode(rq) - g_mode * T(rq)
     profiles = {}
     live_modes = []
     for m in modes:
         gm = complex(np.asarray(origin[m]))
-        fm = profiles_at_nodes[m]
-        resid = fm - gm * t_nodes
+        resid = profiles_at_nodes[m] - gm * t_nodes
+        resid_at_nodes[m] = resid
         denom = np.dot(wq, np.abs(resid) ** 2)
         if denom <= 1e-28:
             # this mode is already a pure template multiple
@@ -159,7 +189,7 @@ def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
         live_modes.append(m)
 
     degenerate = all(abs(c[m]) == 0.0 and
-                     np.dot(wq, np.abs(profiles_at_nodes[m] - g[m] * t_nodes) ** 2) <= 1e-28
+                     np.dot(wq, np.abs(resid_at_nodes[m]) ** 2) <= 1e-28
                      for m in live_modes) if live_modes else False
 
     def f0(r, *thetas):
@@ -172,7 +202,12 @@ def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
         # mode profiles are functions of r only; evaluate once per unique radius
         flat_r = np.atleast_1d(r).ravel()
         ru, inv = np.unique(flat_r, return_inverse=True)
-        resid_u = _residual_profiles(f, needed, g, T, d, n_samples, ru) if needed else {}
+        if np.array_equal(ru, rq):
+            # the same samples make_pos took: reuse them instead of re-sampling f
+            resid_u = {m: resid_at_nodes[m] for m in needed}
+        else:
+            resid_u = _residual_profiles(f, needed, g, T, d, n_samples, ru) if needed else {}
+        phase = distinct_phase(thetas)
         for m in live_modes:
             prof_u = g[m] * T(ru)
             if m in resid_u:
@@ -180,7 +215,7 @@ def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
             prof = prof_u[inv].reshape(np.atleast_1d(r).shape)
             if r.ndim == 0:
                 prof = prof[0]
-            out = out + prof * _phase(m, thetas)
+            out = out + prof * phase(m)
         return out
 
     def f1(r, *thetas):

@@ -21,6 +21,7 @@ from ballspec.basis import (
     zernike_eval,
     zernike_radial,
 )
+from ballspec.jacobi import ParameterError
 
 
 def radial_gram(profile, n_max, weight=None):
@@ -136,3 +137,28 @@ def test_inner_product_polar_vs_cartesian():
     disc = inner_product(f, f, InnerProductKind.POLAR).real
     assert box == pytest.approx(2.0 * np.pi / 3.0, rel=1e-12)
     assert disc == pytest.approx(2.0 * np.pi / 12.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["wfunc", "ball", "ex1"])
+def test_degree_sequence_rows_equal_single_degree_calls(family):
+    r = np.concatenate([[0.0, 1.0], np.sin(0.5 * np.pi * np.arange(1, 64) / 64) ** 2])
+    n_max = 128 if family != "ex1" else 40
+    if family == "wfunc":
+        spec = BasisSpec(alpha=2.0, beta=0.5, d=2)
+        radial = lambda n, x: wfunc_radial(spec, n, x)
+    elif family == "ball":
+        spec = BasisSpec(alpha=2.0, beta=2.0, d=3)
+        radial = lambda n, x: ball_radial(spec, n, x)
+    else:
+        radial = lambda n, x: ex1_radial(n, 2.5, x)
+    rows = radial(range(n_max + 1), r)
+    assert rows.shape == (n_max + 1, r.size)
+    for n in range(n_max + 1):
+        assert np.array_equal(rows[n], radial(n, r))
+    # any order and repeats, and scalar radii
+    picked = [7, 0, 7, 3]
+    assert np.array_equal(radial(picked, r), rows[picked])
+    assert np.array_equal(radial(picked, 0.3), [radial(n, 0.3) for n in picked])
+    for bad in (2.5, [], [1, -1]):
+        with pytest.raises(ParameterError):
+            radial(bad, r)

@@ -98,3 +98,17 @@ def test_emit_report_empty_is_header_only(tmp_path):
 def test_quad_pad_env_respected(tmp_path, monkeypatch):
     monkeypatch.setenv("BALLSPEC_QUAD_PAD", "16")
     assert run_cli(tmp_path, "--example", "ex5") == 0
+
+
+def test_usage_error_exits_2_with_one_line_message(tmp_path, capsys):
+    code = run_cli(tmp_path, "--example", "ex3", "--N", "-1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "truncations must be nonnegative" in err
+
+
+def test_parameter_error_exits_2(tmp_path, capsys):
+    # alpha = 1 is outside the r-weighted family (needs alpha > 1)
+    assert run_cli(tmp_path, "--example", "ex1", "--alpha", "1.0") == 2
+    assert "alpha > 1" in capsys.readouterr().err

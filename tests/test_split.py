@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from ballspec.basis import InnerProductKind, inner_product
+from ballspec.basis import InnerProductKind, UsageError, inner_product
+from ballspec.jacobi import gauss_jacobi_01
 from ballspec.split import (
     SplitPair,
     Template,
+    distinct_phase,
     make_pos,
     raw_pair,
     template_profile,
@@ -98,3 +100,48 @@ def test_raw_pair_is_trivial():
 def test_raw_pair_fails_verification_for_nonvanishing_origin():
     rep = verify_pos(raw_pair(standard_field))
     assert rep.origin_residual > 0.1
+
+
+def test_make_pos_rejects_aliased_angular_sampling():
+    with pytest.raises(UsageError, match=r"n_samples=16.*k_max=16"):
+        make_pos(standard_field, k_max=16, n_samples=16)
+    make_pos(standard_field, k_max=16, n_samples=33)  # 2*k_max+1 is enough
+
+
+def multi_mode_field(r, th):
+    r, th = np.asarray(r), np.asarray(th)
+    return (1.0 - r) * sum(np.exp((0.3 * m - 1.0) * r + 1j * m * (th + 0.2 * m))
+                           for m in range(-3, 4))
+
+
+@pytest.mark.parametrize("template", [Template.LINEAR, Template.COSINE])
+def test_f0_at_split_nodes_equals_resampling_path(template):
+    # f0 at make_pos's own radial nodes reuses its samples; the reference
+    # re-samples f through the per-mode profiles in the same mode order
+    pair = make_pos(multi_mode_field, template)
+    rq, _ = gauss_jacobi_01(48, 0.0, 0.0)
+    th = np.linspace(-np.pi, np.pi, 32, endpoint=False)
+    mesh = np.meshgrid(rq, th, indexing="ij")
+    ref = np.zeros(mesh[0].shape, dtype=complex)
+    for m in pair.c:
+        ref = ref + pair.profiles[m](rq)[:, None] * np.exp(1j * m * th)[None, :]
+    assert any(c != 0.0 for c in pair.c.values())
+    assert np.array_equal(pair.f0(*mesh), ref)
+
+
+def test_distinct_phase_equals_exp_over_full_mesh():
+    rng = np.random.default_rng(3)
+    # repeated angles, a signed zero and scattered points, with broadcasting
+    t1 = np.concatenate([np.tile(np.linspace(-np.pi, np.pi, 9), 4), [0.0, -0.0],
+                         rng.uniform(-np.pi, np.pi, 20)])
+    t2 = rng.permutation(np.resize(np.linspace(0.0, np.pi, 5), t1.size))
+    phase = distinct_phase([t1[:, None], np.array([0.5, -0.0, 0.5])[None, :]])
+    for m in (-7, 0, 3):
+        want = np.exp(1j * m * np.broadcast_to(t1[:, None], (t1.size, 3)))
+        assert np.array_equal(phase(m), want)
+    phase = distinct_phase([t1, t2])
+    for k1, k2 in [(-2, 3), (0, 0), (4, -1)]:
+        want = np.exp(1j * (k1 * t1 + 2.0 * k2 * t2))
+        got = phase((k1, k2))
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
