@@ -32,7 +32,6 @@ from .diffmat import (
     ABCoeffs,
     DiffOpSet,
     CompoundOp,
-    CompoundKind,
     ab_coeffs,
     build_Dr,
     build_Dr_quad,

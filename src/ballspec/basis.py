@@ -11,7 +11,8 @@ Three families are provided:
 
 Normalisation constants are fixed here so that each family is orthonormal
 under its declared inner product; this is certified by test rather than
-carried over from any printed prefactor.
+carried over from any printed prefactor.  The angular convention (grid, cell
+measures, centred DFT and phase) is also defined here, for every module.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def wfunc_eval(spec: BasisSpec, n: int, m: int, p: PolarPoint) -> complex:
     """Weighted disc basis function at a polar point."""
     if spec.kind is not BasisKind.WFUNC or spec.d != 2:
         raise UsageError("wfunc_eval requires a d=2 weighted basis spec")
-    return wfunc_radial(spec, n, p.r) * np.exp(1j * m * p.theta)
+    return wfunc_radial(spec, n, p.r) * ball_phase(m, p.theta)
 
 
 def ball_radial(spec: BasisSpec, n, r):
@@ -149,16 +150,6 @@ def ball_radial(spec: BasisSpec, n, r):
     scale = 2.0 ** a * np.pi ** (-0.5 * (spec.d - 1))
     p, sqrt_h = _jacobi_rows(n, JacobiParams(a, a), 2.0 * r - 1.0)
     return scale * (r * (1.0 - r)) ** (0.5 * a) * (p / sqrt_h)
-
-
-def ball_phase(mvec, theta) -> complex:
-    """Angular phase exp(i(m1 t1 + 2 m2 t2 + ... + 2 m_{d-1} t_{d-1}))."""
-    mvec = np.atleast_1d(mvec)
-    theta = np.atleast_1d(theta)
-    arg = mvec[0] * theta[0]
-    for mj, tj in zip(mvec[1:], theta[1:]):
-        arg = arg + 2.0 * mj * tj
-    return np.exp(1j * arg)
 
 
 def ball_basis_eval(spec: BasisSpec, n: int, mvec, p: BallPoint) -> complex:
@@ -185,7 +176,7 @@ def ex1_radial(n, alpha: float, r):
 
 def ex1_basis_eval(n: int, m: int, p: PolarPoint, alpha: float) -> complex:
     """Disc basis orthonormal under the polar (r-weighted) inner product."""
-    return (2.0 * np.pi) ** -0.5 * ex1_radial(n, alpha, p.r) * np.exp(1j * m * p.theta)
+    return (2.0 * np.pi) ** -0.5 * ex1_radial(n, alpha, p.r) * ball_phase(m, p.theta)
 
 
 def zernike_radial(n: int, r):
@@ -197,20 +188,84 @@ def zernike_radial(n: int, r):
 
 
 def zernike_eval(n: int, m: int, p: PolarPoint) -> complex:
-    return zernike_radial(n, p.r) * np.exp(1j * m * p.theta)
+    return zernike_radial(n, p.r) * ball_phase(m, p.theta)
+
+
+# -- the angular convention ------------------------------------------------
+#
+# theta_1 in [-pi, pi) and, for d >= 3, theta_2.. in [0, pi); an angular
+# mode is an int m (d=2) or a tuple (k1, k2, ...) with the phase
+# exp(i(k1 theta_1 + 2 k2 theta_2 + ...)).
+
+def angular_grid(d: int, n: int):
+    """Equispaced periodic samples, n per angular axis."""
+    return [np.linspace(-np.pi, np.pi, n, endpoint=False)] + \
+        [np.linspace(0.0, np.pi, n, endpoint=False) for _ in range(d - 2)]
+
+
+def cell_measures(d: int, n: int):
+    """Per-axis cell measures of angular_grid(d, n)."""
+    return [2.0 * np.pi / n] + [np.pi / n for _ in range(d - 2)]
+
+
+def angular_dft(values, d: int, k_max: int, mean: bool = False) -> dict:
+    """mode -> centred Fourier coefficient of samples on angular_grid (axes last).
+
+    The raw DFT is divided by the number of samples (mean=True: Fourier
+    coefficients) or multiplied by each axis' cell measure in turn (angular
+    integrals), then shifted from the sample origin -pi to the centred
+    convention.  d is 2 or 3.
+    """
+    shape = values.shape[values.ndim - (d - 1):]
+    coef = np.fft.fftn(values, axes=tuple(range(-(d - 1), 0)))
+    if mean:
+        coef = coef / int(np.prod(shape))
+    else:
+        for s in cell_measures(d, shape[0]):
+            coef = coef * s
+    k1s = np.fft.fftfreq(shape[0], d=1.0 / shape[0]).astype(int)
+    coef = coef * np.exp(1j * k1s * np.pi).reshape((-1,) + (1,) * (d - 2))
+    if d == 2:
+        return {m: coef[..., m % shape[0]] for m in range(-k_max, k_max + 1)}
+    return {(k1, k2): coef[..., k1 % shape[0], k2 % shape[1]]
+            for k1 in range(-k_max, k_max + 1) for k2 in range(-k_max, k_max + 1)}
+
+
+def ball_phase(mode, theta):
+    """Angular phase exp(i(m1 t1 + 2 m2 t2 + ... + 2 m_{d-1} t_{d-1})).
+
+    mode is an int (d=2) or a sequence of d-1 indices; theta one angle (d=2)
+    or a sequence of d-1 angles or angle arrays.
+    """
+    ks = np.atleast_1d(mode)
+    theta = theta if isinstance(theta, (list, tuple)) else np.atleast_1d(theta)
+    arg = ks[0] * theta[0]
+    for k, t in zip(ks[1:], theta[1:]):
+        arg = arg + 2.0 * k * t
+    return np.exp(1j * arg)
+
+
+def distinct_phase(thetas):
+    """mode -> ball_phase(mode, thetas) on the broadcast mesh of the angle arrays.
+
+    The exponential is taken once per distinct angle tuple and gathered back
+    onto the mesh, so a tensor grid costs one exp per angle, not per point.
+    Tuples are told apart by their bit patterns, so each entry equals the
+    full-mesh phase bit for bit.
+    """
+    arrays = np.broadcast_arrays(*thetas)
+    mesh = [t.ravel() for t in arrays]
+    key = np.zeros(mesh[0].size, dtype=np.int64)
+    for t in mesh:
+        _, idx = np.unique(t.view(np.int64), return_inverse=True)
+        key = key * (int(idx.max(initial=0)) + 1) + idx
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    distinct = [t[first] for t in mesh]
+    inv = inv.reshape(arrays[0].shape)
+    return lambda mode: ball_phase(mode, distinct)[inv]
 
 
 # -- inner products ---------------------------------------------------------
-
-def _theta_grids(d: int, resolution: int):
-    """Equispaced periodic samples and cell measures for the angular box."""
-    grids = [np.linspace(-np.pi, np.pi, resolution, endpoint=False)]
-    measures = [2.0 * np.pi / resolution]
-    for _ in range(d - 2):
-        grids.append(np.linspace(0.0, np.pi, resolution, endpoint=False))
-        measures.append(np.pi / resolution)
-    return grids, measures
-
 
 def inner_product(f, g, kind: InnerProductKind = InnerProductKind.CARTESIAN,
                   resolution: int = 48, d: int = 2,
@@ -236,10 +291,9 @@ def inner_product(f, g, kind: InnerProductKind = InnerProductKind.CARTESIAN,
         strip = np.ones_like(r)
     if kind is InnerProductKind.POLAR:
         w = w * r
-    grids, measures = _theta_grids(d, resolution)
-    mesh = np.meshgrid(r, *grids, indexing="ij")
+    mesh = np.meshgrid(r, *angular_grid(d, resolution), indexing="ij")
     vals = f(*mesh) * np.conj(g(*mesh))
     for _ in range(d - 1):
         vals = vals.sum(axis=-1)
     total = np.dot(w, vals / strip)
-    return complex(total * np.prod(measures))
+    return complex(total * np.prod(cell_measures(d, resolution)))

@@ -236,9 +236,7 @@ def run_ex4(config: RunConfig):
     the splitting restores boundedness but decay stays algebraic."""
     f = test_field()
     pair = make_pos(f, Template.LINEAR)
-    rep = verify_pos(pair)
-    worst = max(rep.sum_residual, rep.boundary_residual,
-                rep.origin_residual, rep.orthogonality_residual)
+    worst = verify_pos(pair).worst
     _check("split_residuals", worst <= 1e-8, f"worst = {worst:.3e}")
     spec = BasisSpec(alpha=config.alpha, beta=config.beta, d=2,
                      N=config.N, K=config.K)
@@ -260,9 +258,7 @@ def run_ex5(config: RunConfig):
     gives geometric decay and ~1e-9 accuracy from 77 coefficients."""
     f = test_field()
     pair = make_pos(f, Template.LINEAR)
-    rep = verify_pos(pair)
-    worst = max(rep.sum_residual, rep.boundary_residual,
-                rep.origin_residual, rep.orthogonality_residual)
+    worst = verify_pos(pair).worst
     _check("split_residuals", worst <= 1e-9, f"worst = {worst:.3e}")
     spec = BasisSpec(alpha=config.alpha, beta=config.beta, d=2,
                      N=config.N, K=config.K)
@@ -284,9 +280,7 @@ def run_ball3d(config: RunConfig):
     """Splitting and analysis on the 3-dimensional ball."""
     f = test_field(d=3)
     pair = make_pos(f, Template.LINEAR, d=3)
-    rep = verify_pos(pair)
-    worst = max(rep.sum_residual, rep.boundary_residual,
-                rep.origin_residual, rep.orthogonality_residual)
+    worst = verify_pos(pair).worst
     _check("split_residuals", worst <= 1e-9, f"worst = {worst:.3e}")
     spec = BasisSpec(alpha=config.alpha, beta=config.alpha, d=3,
                      N=config.N, K=config.K)

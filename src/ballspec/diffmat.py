@@ -14,9 +14,7 @@ and the stability contracts, and is applied explicitly where it matters.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from enum import Enum
 from math import lgamma, exp, sqrt
 
 import numpy as np
@@ -24,6 +22,7 @@ import numpy as np
 from .jacobi import (
     JacobiParams,
     ParameterError,
+    gauss_jacobi,
     gauss_jacobi_01,
     jacobi_eval_all,
     jacobi_deriv_all,
@@ -36,6 +35,8 @@ from .semisep import SemiSep2
 
 #: d/dr action of the reference-interval radial matrix is this multiple of it.
 RADIAL_SCALE = 2.0
+#: Extra nodes of the quadrature oracles beyond those needed for exactness.
+ORACLE_PAD = 8
 
 
 @dataclass(frozen=True)
@@ -77,20 +78,6 @@ def ab_coeffs(m_max: int, alpha: float) -> ABCoeffs:
     return ABCoeffs(a=a, b=b, alpha=alpha)
 
 
-def ab_coeffs_closed(m_max: int, alpha: float) -> ABCoeffs:
-    """Same sequences from the closed forms in log-gamma arithmetic."""
-    if alpha <= 0.0:
-        raise ParameterError(
-            f"skew-symmetric radial matrices need alpha > 0, got {alpha}"
-        )
-    m = np.arange(m_max + 1, dtype=float)
-    lg_fact = np.array([lgamma(k + 1.0) for k in m])
-    lg_shift = np.array([lgamma(k + 1.0 + 2.0 * alpha) for k in m])
-    a = np.exp(0.5 * (lg_fact + np.log(2.0 * m + 2.0 * alpha + 1.0) - np.log(2.0) - lg_shift))
-    b = np.exp(0.5 * (np.log(2.0 * m + 1.0 + 2.0 * alpha) + lg_shift - np.log(2.0) - lg_fact))
-    return ABCoeffs(a=a, b=b, alpha=alpha)
-
-
 def build_Dr(n_max: int, alpha: float) -> SemiSep2:
     """Skew-symmetric radial differentiation matrix, degrees 0..n_max.
 
@@ -108,8 +95,7 @@ def build_Dr(n_max: int, alpha: float) -> SemiSep2:
     )
 
 
-def build_Dr_quad(n_max: int, alpha: float, beta: float | None = None,
-                  pad: int = 8) -> np.ndarray:
+def build_Dr_quad(n_max: int, alpha: float, beta: float | None = None) -> np.ndarray:
     """Radial differentiation matrix by Gauss-Jacobi quadrature.
 
     Integrates psi_n' psi_k over [-1, 1], where psi_n is the weighted
@@ -123,23 +109,17 @@ def build_Dr_quad(n_max: int, alpha: float, beta: float | None = None,
         raise ParameterError("quadrature construction needs alpha > 0")
     if beta < 0.0:
         raise ParameterError("quadrature construction needs beta >= 0")
-    nq = n_max + 1 + pad
+    nq = n_max + 1 + ORACLE_PAD
     params = JacobiParams(alpha, beta)
+    rule = gauss_jacobi(nq, JacobiParams(alpha - 1.0, beta - 1.0 if beta != 0.0 else 0.0))
+    x, w = rule.nodes, rule.weights
+    pt = orthonormal_all(n_max, params, x)
+    dpt = orthonormal_deriv_all(n_max, params, x)
     if beta == 0.0:
-        from .jacobi import gauss_jacobi
-        rule = gauss_jacobi(nq, JacobiParams(alpha - 1.0, 0.0))
-        x, w = rule.nodes, rule.weights
-        pt = orthonormal_all(n_max, params, x)
-        dpt = orthonormal_deriv_all(n_max, params, x)
         # psi_n' psi_k = (1-x)^(a-1) [ (1-x) P'_n P_k - a/2 P_n P_k ]
         block = (1.0 - x) * dpt[:, None, :] * pt[None, :, :] \
             - 0.5 * alpha * pt[:, None, :] * pt[None, :, :]
     else:
-        from .jacobi import gauss_jacobi
-        rule = gauss_jacobi(nq, JacobiParams(alpha - 1.0, beta - 1.0))
-        x, w = rule.nodes, rule.weights
-        pt = orthonormal_all(n_max, params, x)
-        dpt = orthonormal_deriv_all(n_max, params, x)
         lin = 0.5 * beta * (1.0 - x) - 0.5 * alpha * (1.0 + x)
         block = (1.0 - x * x) * dpt[:, None, :] * pt[None, :, :] \
             + lin * pt[:, None, :] * pt[None, :, :]
@@ -197,13 +177,13 @@ def asymmetry_S_ex1(n_max: int, alpha: float) -> np.ndarray:
     return s
 
 
-def ex1_Dr_quad(n_max: int, alpha: float, pad: int = 8) -> np.ndarray:
+def ex1_Dr_quad(n_max: int, alpha: float) -> np.ndarray:
     """Radial differentiation matrix of the r-weighted family by quadrature.
 
     D[m, n] = int_0^1 r phi_m'(r) phi_n(r) dr with phi the radial profiles of
     the polar-inner-product family.
     """
-    nq = n_max + 1 + pad
+    nq = n_max + 1 + ORACLE_PAD
     r, w = gauss_jacobi_01(nq, alpha - 1.0, 1.0)
     params = JacobiParams(alpha, 1.0)
     scale = np.array(
@@ -218,9 +198,9 @@ def ex1_Dr_quad(n_max: int, alpha: float, pad: int = 8) -> np.ndarray:
     return np.einsum("k,mnk->mn", w, block)
 
 
-def ex1_S_quad(n_max: int, alpha: float, pad: int = 8) -> np.ndarray:
+def ex1_S_quad(n_max: int, alpha: float) -> np.ndarray:
     """Quadrature oracle for the overlap matrix: S[m,n] = int_0^1 phi_m phi_n dr."""
-    nq = n_max + 1 + pad
+    nq = n_max + 1 + ORACLE_PAD
     r, w = gauss_jacobi_01(nq, alpha, 0.0)
     vals = ex1_radial(range(n_max + 1), alpha, r) / (1.0 - r) ** (0.5 * alpha)
     return np.einsum("k,mk,nk->mn", w, vals, vals)
@@ -240,22 +220,15 @@ def asymmetry_beta0(n: int, m: int, alpha: float) -> float:
 
 # -- compound (bordered) operators -----------------------------------------
 
-class CompoundKind(Enum):
-    RADIAL = "radial"
-    ANGULAR = "angular"
-
-
 @dataclass
 class CompoundOp:
     """Bordered operator joining the 1x1 affine block to the residual block."""
 
     d_scalar: complex
     core: DiffOpSet
-    kind: CompoundKind
 
 
-def compound_radial(core: DiffOpSet, h, dh_dr, resolution: int = 64,
-                    norm_tol: float = 1e-8) -> CompoundOp:
+def compound_radial(core: DiffOpSet, h, dh_dr) -> CompoundOp:
     """Bordered radial operator for a unit-norm affine direction h(r, theta).
 
     The scalar block is d = <dh/dr, h> under the box inner product; its real
@@ -263,27 +236,13 @@ def compound_radial(core: DiffOpSet, h, dh_dr, resolution: int = 64,
     The coupling blocks are zero by the orthogonality of the splitting.
     """
     from .basis import inner_product, InnerProductKind
-    nrm2 = inner_product(h, h, InnerProductKind.CARTESIAN, resolution=resolution).real
-    if abs(nrm2 - 1.0) > norm_tol:
+    nrm2 = inner_product(h, h, InnerProductKind.CARTESIAN, resolution=64).real
+    if abs(nrm2 - 1.0) > 1e-8:
         raise UsageError(f"affine direction must have unit norm, got ||h||^2 = {nrm2}")
-    d = inner_product(dh_dr, h, InnerProductKind.CARTESIAN, resolution=resolution)
-    return CompoundOp(d_scalar=complex(d), core=core, kind=CompoundKind.RADIAL)
+    d = inner_product(dh_dr, h, InnerProductKind.CARTESIAN, resolution=64)
+    return CompoundOp(d_scalar=complex(d), core=core)
 
 
 def compound_angular(core: DiffOpSet, m: int) -> CompoundOp:
     """Bordered angular operator for Fourier mode m; skew-Hermitian throughout."""
-    return CompoundOp(d_scalar=1j * m, core=core, kind=CompoundKind.ANGULAR)
-
-
-# -- export -----------------------------------------------------------------
-
-def export_dense_csv(matrix: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.asarray(matrix):
-            writer.writerow([repr(float(x)) for x in row])
-
-
-def export_generators_json(op: SemiSep2, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(op.to_json())
+    return CompoundOp(d_scalar=1j * m, core=core)

@@ -1,10 +1,13 @@
 """Coefficient analysis and synthesis for the weighted bases, plus the error
 metrics used by the reproduction experiments.
 
-Angular directions are handled by equispaced FFT sampling (exact for the
-band-limited test fields); the radial direction by Gauss-Jacobi rules whose
-weight absorbs the basis' algebraic endpoint factors, so the rule only ever
-sees polynomial-times-analytic integrands.
+Angular directions are handled by equispaced FFT sampling in the angular
+convention of ``basis`` (exact for the band-limited test fields); the radial
+direction by Gauss-Jacobi rules whose weight absorbs the basis' algebraic
+endpoint factors, so the rule only ever sees polynomial-times-analytic
+integrands.  One analysis core serves the three families, each binding its
+radial weight, table and scale; synthesis and error reports pick the radial
+family from the coefficients' spec (kind and d).
 """
 
 from __future__ import annotations
@@ -16,15 +19,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, BasisKind, UsageError, wfunc_radial, ball_radial, ex1_radial
+from .basis import (
+    BasisKind,
+    BasisSpec,
+    UsageError,
+    angular_dft,
+    angular_grid,
+    ball_radial,
+    distinct_phase,
+    ex1_radial,
+    wfunc_radial,
+)
 from .jacobi import JacobiParams, gauss_jacobi_01, orthonormal_all
-from .split import SplitPair, verify_pos, _angular_grid, distinct_phase
+from .split import SplitPair, verify_pos
 
 
-def quad_pad(default: int = 8) -> int:
-    """Radial quadrature padding; overridable via BALLSPEC_QUAD_PAD."""
+def quad_pad() -> int:
+    """Radial quadrature padding, 8 unless BALLSPEC_QUAD_PAD says otherwise."""
     env = os.environ.get("BALLSPEC_QUAD_PAD")
-    return int(env) if env else default
+    return int(env) if env else 8
 
 
 @dataclass
@@ -56,117 +69,108 @@ def unflatten_index(q: int, spec: BasisSpec):
     return q // width, q % width - spec.K
 
 
-def _angular_transform(vals, d: int, k_max: int):
-    """Per-mode angular integrals (with measure) of sampled data, axes last."""
-    if d == 2:
-        n = vals.shape[-1]
-        coef = np.fft.fft(vals, axis=-1) * (2.0 * np.pi / n)
-        ks = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-        coef = coef * np.exp(1j * ks * np.pi)
-        return {m: coef[..., np.where(ks == m)[0][0]] for m in range(-k_max, k_max + 1)}
-    n1, n2 = vals.shape[-2], vals.shape[-1]
-    coef = np.fft.fft2(vals, axes=(-2, -1)) * (2.0 * np.pi / n1) * (np.pi / n2)
-    k1s = np.fft.fftfreq(n1, d=1.0 / n1).astype(int)
-    k2s = np.fft.fftfreq(n2, d=1.0 / n2).astype(int)
-    coef = coef * np.exp(1j * k1s[:, None] * np.pi)
-    out = {}
-    for k1 in range(-k_max, k_max + 1):
-        i1 = np.where(k1s == k1)[0][0]
-        for k2 in range(-k_max, k_max + 1):
-            out[(k1, k2)] = coef[..., i1, np.where(k2s == k2)[0][0]]
-    return out
-
-
 def _check_pair(pair: SplitPair, check: bool, tol: float = 1e-8):
     if not check:
         return
-    rep = verify_pos(pair)
-    worst = max(rep.sum_residual, rep.boundary_residual,
-                rep.origin_residual, rep.orthogonality_residual)
+    worst = verify_pos(pair).worst
     if worst > tol:
         raise UsageError(f"split pair fails verification with residual {worst:.3e}")
 
 
-def analyze_disc(pair: SplitPair, spec: BasisSpec, check: bool = True,
-                 n_theta: int | None = None) -> CoeffTensor:
-    """Expansion coefficients of the residual part over the disc basis."""
-    if spec.kind is not BasisKind.WFUNC or spec.d != 2:
-        raise UsageError("analyze_disc needs a d=2 weighted basis spec")
+def _modes(spec: BasisSpec):
+    """Angular modes in the column order of fhat.reshape(N + 1, -1)."""
+    ks = range(-spec.K, spec.K + 1)
+    return list(ks) if spec.d == 2 else [(k1, k2) for k1 in ks for k2 in ks]
+
+
+def _analyze(f, spec: BasisSpec, weight, table, scale) -> np.ndarray:
+    """fhat[:, mode] = scale * (table(r) @ (w * F_mode(r))) over the flat modes.
+
+    f is sampled on the Gauss-Jacobi rule for the radial weight
+    (1-r)^weight[0] r^weight[1] times the angular grid; F_mode is its
+    angular integral and table(r) the (N+1, nodes) radial factor.
+    """
+    r, w = gauss_jacobi_01(spec.N + quad_pad(), *weight)
+    mesh = np.meshgrid(r, *angular_grid(spec.d, max(2 * spec.K + 2, 16)), indexing="ij")
+    F = angular_dft(f(*mesh), spec.d, spec.K)
+    rad = table(r)
+    fhat = np.empty((spec.N + 1, (2 * spec.K + 1) ** (spec.d - 1)), dtype=complex)
+    for i, mode in enumerate(_modes(spec)):
+        fhat[:, i] = scale * (rad @ (w * F[mode]))
+    return fhat.reshape((spec.N + 1,) + (2 * spec.K + 1,) * (spec.d - 1))
+
+
+def _analyze_wfunc(pair: SplitPair, spec: BasisSpec, check: bool, d: int) -> CoeffTensor:
+    if spec.kind is not BasisKind.WFUNC or spec.d != d:
+        raise UsageError(f"this analysis needs a d={d} weighted basis spec, "
+                         f"got {spec.kind.value} in d={spec.d}")
     _check_pair(pair, check)
-    N, K = spec.N, spec.K
     a, b = spec.alpha, spec.beta
-    n_theta = n_theta or max(2 * K + 2, 16)
-    nq = N + quad_pad()
-    r, w = gauss_jacobi_01(nq, 0.5 * a, 0.5 * b)
-    thetas = _angular_grid(2, n_theta)
-    mesh = np.meshgrid(r, *thetas, indexing="ij")
-    vals = pair.f1(*mesh)
-    modes = _angular_transform(vals, 2, K)  # F_m(r) at the radial nodes
-    poly = orthonormal_all(N, JacobiParams(a, b), 2.0 * r - 1.0)
-    radial_scale = np.pi ** -0.5 * 2.0 ** (0.5 * (a + b))
-    fhat = np.empty((N + 1, 2 * K + 1), dtype=complex)
-    for m in range(-K, K + 1):
-        weighted = w * modes[m]
-        fhat[:, m + K] = radial_scale * (poly @ weighted)
-    fcirc = dict(pair.origin_coeffs)
-    return CoeffTensor(fhat=fhat, fcirc=fcirc, spec=spec, pair=pair)
-
-
-def analyze_ball3(pair: SplitPair, spec: BasisSpec, check: bool = True,
-                  n_theta: int | None = None) -> CoeffTensor:
-    """Expansion coefficients over the 3-ball basis (2-D FFT + radial rule)."""
-    if spec.d != 3:
-        raise UsageError("analyze_ball3 needs a d=3 spec")
-    _check_pair(pair, check)
-    N, K = spec.N, spec.K
-    a = spec.alpha
-    n_theta = n_theta or max(2 * K + 2, 16)
-    nq = N + quad_pad()
-    r, w = gauss_jacobi_01(nq, 0.5 * a, 0.5 * a)
-    thetas = _angular_grid(3, n_theta)
-    mesh = np.meshgrid(r, *thetas, indexing="ij")
-    vals = pair.f1(*mesh)
-    modes = _angular_transform(vals, 3, K)
-    poly = orthonormal_all(N, JacobiParams(a, a), 2.0 * r - 1.0)
-    radial_scale = 2.0 ** a * np.pi ** (-0.5 * (spec.d - 1))
-    fhat = np.empty((N + 1, 2 * K + 1, 2 * K + 1), dtype=complex)
-    for k1 in range(-K, K + 1):
-        for k2 in range(-K, K + 1):
-            weighted = w * modes[(k1, k2)]
-            fhat[:, k1 + K, k2 + K] = radial_scale * (poly @ weighted)
+    fhat = _analyze(pair.f1, spec, (0.5 * a, 0.5 * b),
+                    lambda r: orthonormal_all(spec.N, JacobiParams(a, b), 2.0 * r - 1.0),
+                    np.pi ** (-0.5 * (d - 1)) * 2.0 ** (0.5 * (a + b)))
     return CoeffTensor(fhat=fhat, fcirc=dict(pair.origin_coeffs), spec=spec, pair=pair)
 
 
-def synthesize(coeffs: CoeffTensor, r, *thetas) -> np.ndarray:
-    """Evaluate affine part plus truncated basis sum at the given points.
+def analyze_disc(pair: SplitPair, spec: BasisSpec, check: bool = True) -> CoeffTensor:
+    """Expansion coefficients of the residual part over the disc basis."""
+    return _analyze_wfunc(pair, spec, check, 2)
 
-    Radial work is one O(N) recurrence pass per distinct radius, shared by
-    every mode; each mode's phase is taken once per distinct angle tuple.
-    """
+
+def analyze_ball3(pair: SplitPair, spec: BasisSpec, check: bool = True) -> CoeffTensor:
+    """Expansion coefficients over the 3-ball basis (2-D FFT + radial rule)."""
+    return _analyze_wfunc(pair, spec, check, 3)
+
+
+def analyze_polar_weighted(f, N: int, K: int, alpha: float) -> CoeffTensor:
+    """Coefficients of f over the polar-inner-product family (no splitting)."""
+    spec = BasisSpec(alpha=alpha, beta=1.0, d=2, N=N, K=K, kind=BasisKind.EX1_WEIGHTED)
+    # the rule absorbs (1-r)^(a/2) * r
+    fhat = _analyze(f, spec, (0.5 * alpha, 1.0),
+                    lambda r: ex1_radial(range(N + 1), alpha, r) / (1.0 - r) ** (0.5 * alpha),
+                    (2.0 * np.pi) ** -0.5)
+    return CoeffTensor(fhat=fhat, fcirc={}, spec=spec, pair=None)
+
+
+def _radial_family(spec: BasisSpec, r):
+    """(radial factors of degrees 0..N at r, their scale) for the spec's family."""
+    degrees = range(spec.N + 1)
+    if spec.kind is BasisKind.WFUNC:
+        return (wfunc_radial if spec.d == 2 else ball_radial)(spec, degrees, r), 1.0
+    if spec.kind is BasisKind.EX1_WEIGHTED and spec.d == 2:
+        return ex1_radial(degrees, spec.alpha, r), (2.0 * np.pi) ** -0.5
+    raise UsageError(f"no synthesis for {spec.kind.value} coefficients in d={spec.d}")
+
+
+def _synthesize(coeffs: CoeffTensor, r, thetas) -> np.ndarray:
     spec = coeffs.spec
-    K = spec.K
     r = np.asarray(r, dtype=float)
     thetas = [np.asarray(t, dtype=float) for t in thetas]
     out = np.zeros(np.broadcast(r, *thetas).shape, dtype=complex)
     if coeffs.pair is not None and not _affine_is_zero(coeffs):
         out = out + coeffs.pair.f0(r, *thetas)
-    flat_r = np.atleast_1d(r).ravel()
-    ru, inv = np.unique(flat_r, return_inverse=True)
-    radial = wfunc_radial if spec.d == 2 else ball_radial
-    rad = radial(spec, range(spec.N + 1), ru)
-    if spec.d == 2:
-        modes = range(-K, K + 1)
-    else:
-        modes = [(k1, k2) for k1 in range(-K, K + 1) for k2 in range(-K, K + 1)]
+    ru, inv = np.unique(np.atleast_1d(r).ravel(), return_inverse=True)
+    rad, scale = _radial_family(spec, ru)
     phase = distinct_phase(thetas)
-    for mode, col in zip(modes, coeffs.fhat.reshape(spec.N + 1, -1).T):
+    for mode, col in zip(_modes(spec), coeffs.fhat.reshape(spec.N + 1, -1).T):
         if not np.any(col):
             continue
-        prof = (col @ rad)[inv].reshape(np.atleast_1d(r).shape)
+        prof = (scale * (col @ rad))[inv].reshape(np.atleast_1d(r).shape)
         if r.ndim == 0:
             prof = prof[0]
         out = out + prof * phase(mode)
     return out
+
+
+def synthesize(coeffs: CoeffTensor, r, *thetas) -> np.ndarray:
+    """Evaluate affine part plus truncated basis sum at the given points.
+
+    The radial family follows coeffs.spec (kind and d), so coefficients from
+    any analyze_* function are summed in their own basis.  Radial work is
+    one O(N) recurrence pass per distinct radius, shared by every mode; each
+    mode's phase is taken once per distinct angle tuple.
+    """
+    return _synthesize(coeffs, r, thetas)
 
 
 def _affine_is_zero(coeffs: CoeffTensor) -> bool:
@@ -196,22 +200,14 @@ def standard_grid(M: int, d: int = 2):
     return r, theta1, theta2
 
 
-def coeff_decay_table(coeffs: CoeffTensor, nonzero_tol: float = 0.0):
-    """Flattened (q, |fhat_q|) pairs; optionally only entries above tol."""
-    spec = coeffs.spec
-    flat = np.abs(coeffs.fhat.reshape(spec.N + 1, -1)).ravel()
-    pairs = [(q, float(v)) for q, v in enumerate(flat)]
-    if nonzero_tol > 0.0:
-        top = max(flat.max(), 1e-300)
-        pairs = [(q, v) for q, v in pairs if v > nonzero_tol * top]
-    return pairs
+def coeff_decay_table(coeffs: CoeffTensor):
+    """Flattened (q, |fhat_q|) pairs."""
+    flat = np.abs(coeffs.fhat.reshape(coeffs.spec.N + 1, -1)).ravel()
+    return [(q, float(v)) for q, v in enumerate(flat)]
 
 
-def error_report(f, coeffs: CoeffTensor, M: int = 6) -> ErrorReport:
-    """Componentwise errors of the truncated expansion on the standard grid."""
-    d = coeffs.spec.d
-    axes = standard_grid(M, d)
-    mesh = np.meshgrid(*axes, indexing="ij")
+def _error_report(f, coeffs: CoeffTensor, M: int) -> ErrorReport:
+    mesh = np.meshgrid(*standard_grid(M, coeffs.spec.d), indexing="ij")
     err = synthesize(coeffs, *mesh) - f(*mesh)
     return ErrorReport(
         e_inf=float(np.max(np.abs(err))),
@@ -221,56 +217,19 @@ def error_report(f, coeffs: CoeffTensor, M: int = 6) -> ErrorReport:
     )
 
 
-# -- the r-weighted comparison expansion ------------------------------------
-
-def analyze_polar_weighted(f, N: int, K: int, alpha: float,
-                           n_theta: int | None = None) -> CoeffTensor:
-    """Coefficients of f over the polar-inner-product family (no splitting)."""
-    spec = BasisSpec(alpha=alpha, beta=1.0, d=2, N=N, K=K, kind=BasisKind.EX1_WEIGHTED)
-    n_theta = n_theta or max(2 * K + 2, 16)
-    nq = N + quad_pad()
-    r, w = gauss_jacobi_01(nq, 0.5 * alpha, 1.0)  # absorbs (1-r)^(a/2) * r
-    thetas = _angular_grid(2, n_theta)
-    mesh = np.meshgrid(r, *thetas, indexing="ij")
-    modes = _angular_transform(f(*mesh), 2, K)
-    rad = ex1_radial(range(N + 1), alpha, r) / (1.0 - r) ** (0.5 * alpha)
-    fhat = np.empty((N + 1, 2 * K + 1), dtype=complex)
-    for m in range(-K, K + 1):
-        fhat[:, m + K] = (2.0 * np.pi) ** -0.5 * (rad @ (w * modes[m]))
-    return CoeffTensor(fhat=fhat, fcirc={}, spec=spec, pair=None)
+def error_report(f, coeffs: CoeffTensor, M: int = 6) -> ErrorReport:
+    """Componentwise errors of the truncated expansion on the standard grid."""
+    return _error_report(f, coeffs, M)
 
 
 def synthesize_polar_weighted(coeffs: CoeffTensor, r, theta) -> np.ndarray:
-    spec = coeffs.spec
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    out = np.zeros(np.broadcast(r, theta).shape, dtype=complex)
-    flat_r = np.atleast_1d(r).ravel()
-    ru, inv = np.unique(flat_r, return_inverse=True)
-    rad = ex1_radial(range(spec.N + 1), spec.alpha, ru)
-    phase = distinct_phase([theta])
-    for mi in range(2 * spec.K + 1):
-        col = coeffs.fhat[:, mi]
-        if not np.any(col):
-            continue
-        prof_u = (2.0 * np.pi) ** -0.5 * (col @ rad)
-        prof = prof_u[inv].reshape(np.atleast_1d(r).shape)
-        if r.ndim == 0:
-            prof = prof[0]
-        out = out + prof * phase(mi - spec.K)
-    return out
+    """synthesize on the disc, the form used for the r-weighted family."""
+    return _synthesize(coeffs, r, (theta,))
 
 
 def error_report_polar(f, coeffs: CoeffTensor, M: int = 6) -> ErrorReport:
-    axes = standard_grid(M, 2)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    err = synthesize_polar_weighted(coeffs, *mesh) - f(*mesh)
-    return ErrorReport(
-        e_inf=float(np.max(np.abs(err))),
-        e_2=float(np.sqrt(np.sum(np.abs(err) ** 2))),
-        grid_M=M,
-        coeff_decay=coeff_decay_table(coeffs),
-    )
+    """error_report on the disc, the form used for the r-weighted family."""
+    return _error_report(f, coeffs, M)
 
 
 # -- export -----------------------------------------------------------------

@@ -45,10 +45,6 @@ class QuadRule:
         if np.any(self.weights <= 0.0):
             raise ParameterError("quadrature weights must be positive")
 
-    def integrate(self, values: np.ndarray) -> complex:
-        """Integrate f(x) (1-x)^a (1+x)^b dx given samples of f at the nodes."""
-        return np.tensordot(self.weights, values, axes=(0, 0))
-
 
 def weight_mass(params: JacobiParams) -> float:
     """Total mass 2^(a+b+1) B(a+1, b+1) of the Jacobi weight."""
@@ -105,15 +101,6 @@ def jacobi_deriv_all(n: int, params: JacobiParams, x) -> np.ndarray:
     return out
 
 
-def jacobi_endpoint(n: int, params: JacobiParams, right: bool = True) -> float:
-    """P_n(1) = C(n+alpha, n); P_n(-1) = (-1)^n C(n+beta, n).  Log-gamma form."""
-    c = params.alpha if right else params.beta
-    val = exp(lgamma(n + c + 1.0) - lgamma(c + 1.0) - lgamma(n + 1.0))
-    if not right and n % 2 == 1:
-        val = -val
-    return val
-
-
 def norm_h(n: int, params: JacobiParams) -> float:
     """Squared L2 norm of the degree-n Jacobi polynomial under its weight.
 
@@ -164,7 +151,11 @@ def recurrence_coeffs(n: int, params: JacobiParams):
     for k in range(1, n):
         c = 2.0 * k + apb
         ra[k] = (b * b - a * a) / (c * (c + 2.0))
-        rb[k] = 4.0 * k * (k + a) * (k + b) * (k + apb) / ((c * c - 1.0) * c * c)
+        if k == 1 and 1.0 + apb == 0.0:
+            # 0/0 when a + b = -1 (Chebyshev among them): take the limit
+            rb[k] = 4.0 * (1.0 + a) * (1.0 + b) / ((c + 1.0) * c * c)
+        else:
+            rb[k] = 4.0 * k * (k + a) * (k + b) * (k + apb) / ((c * c - 1.0) * c * c)
     return ra, rb
 
 

@@ -112,3 +112,8 @@ def test_parameter_error_exits_2(tmp_path, capsys):
     # alpha = 1 is outside the r-weighted family (needs alpha > 1)
     assert run_cli(tmp_path, "--example", "ex1", "--alpha", "1.0") == 2
     assert "alpha > 1" in capsys.readouterr().err
+
+
+def test_pde_demo_with_chebyshev_oracle_rule(tmp_path):
+    # alpha = beta = 1/2 needs the Gauss-Jacobi rule of (-1/2, -1/2)
+    assert run_cli(tmp_path, "--example", "pde-demo", "--alpha", "0.5", "--beta", "0.5") == 0

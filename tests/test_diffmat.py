@@ -1,5 +1,7 @@
 """Tests for the differentiation matrices and asymmetry closed forms."""
 
+from math import lgamma
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,8 +9,8 @@ from scipy.integrate import quad
 from ballspec.basis import BasisSpec, UsageError, ex1_radial, wfunc_radial
 from ballspec.diffmat import (
     RADIAL_SCALE,
+    ABCoeffs,
     ab_coeffs,
-    ab_coeffs_closed,
     asymmetry_S_ex1,
     asymmetry_beta0,
     build_Dr,
@@ -20,6 +22,16 @@ from ballspec.diffmat import (
     ex1_Dr_quad,
     ex1_S_quad,
 )
+
+
+def ab_coeffs_closed(m_max: int, alpha: float) -> ABCoeffs:
+    """The closed forms in ab_coeffs' docstring, in log-gamma arithmetic."""
+    m = np.arange(m_max + 1, dtype=float)
+    lg_fact = np.array([lgamma(k + 1.0) for k in m])
+    lg_shift = np.array([lgamma(k + 1.0 + 2.0 * alpha) for k in m])
+    a = np.exp(0.5 * (lg_fact + np.log(2.0 * m + 2.0 * alpha + 1.0) - np.log(2.0) - lg_shift))
+    b = np.exp(0.5 * (np.log(2.0 * m + 1.0 + 2.0 * alpha) + lg_shift - np.log(2.0) - lg_fact))
+    return ABCoeffs(a=a, b=b, alpha=alpha)
 
 
 def test_ab_recursion_matches_closed_form():

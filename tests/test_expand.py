@@ -10,6 +10,7 @@ from ballspec.basis import (
     BasisKind, BasisSpec, PolarPoint, UsageError, ball_radial, wfunc_eval, wfunc_radial,
 )
 from ballspec.expand import (
+    CoeffTensor,
     analyze_ball3,
     analyze_disc,
     analyze_polar_weighted,
@@ -271,3 +272,30 @@ def test_synthesize_equals_per_degree_per_mode_loop(d):
         coeffs = analyze_ball3(make_pos(f, Template.LINEAR, d=3), spec)
     mesh = np.meshgrid(*standard_grid(24, d), indexing="ij")
     assert np.array_equal(synthesize(coeffs, *mesh), reference_synthesis(coeffs, *mesh))
+
+
+def test_synthesize_dispatches_on_the_polar_family():
+    coeffs = analyze_polar_weighted(standard_field, 6, 5, 2.0)
+    mesh = np.meshgrid(*standard_grid(9), indexing="ij")
+    assert np.array_equal(synthesize(coeffs, *mesh), synthesize_polar_weighted(coeffs, *mesh))
+    general = error_report(standard_field, coeffs, M=6)
+    polar = error_report_polar(standard_field, coeffs, M=6)
+    assert (general.e_inf, general.e_2) == (polar.e_inf, polar.e_2)
+    assert general.e_inf < 1e-5
+
+
+def test_synthesize_refuses_zernike_coefficients():
+    spec = BasisSpec(alpha=0.0, beta=1.0, d=2, N=3, K=2, kind=BasisKind.ZERNIKE)
+    coeffs = CoeffTensor(fhat=np.ones((4, 5), dtype=complex), fcirc={}, spec=spec)
+    with pytest.raises(UsageError, match="zernike"):
+        synthesize(coeffs, 0.5, 0.1)
+    with pytest.raises(UsageError, match="zernike"):
+        error_report(standard_field, coeffs)
+
+
+@pytest.mark.parametrize("kind", [BasisKind.ZERNIKE, BasisKind.EX1_WEIGHTED])
+def test_analyze_ball3_refuses_other_families(kind):
+    spec = BasisSpec(alpha=2.0, beta=2.0, d=3, N=3, K=2, kind=kind)
+    field = lambda r, t1, t2: np.zeros(np.broadcast(r, t1, t2).shape)
+    with pytest.raises(UsageError, match="weighted basis"):
+        analyze_ball3(raw_pair(field, d=3), spec, check=False)

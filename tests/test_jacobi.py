@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.special import eval_jacobi, gamma
+from scipy.special import eval_jacobi, gamma, roots_jacobi
 
 from ballspec.jacobi import (
     JacobiParams,
@@ -95,3 +95,15 @@ def test_invalid_parameters_rejected():
         JacobiParams(-1.5, 0.0)
     with pytest.raises(ParameterError):
         gauss_jacobi(0, JacobiParams(1.0, 1.0))
+
+
+@pytest.mark.parametrize("a, b", [(-0.5, -0.5), (-0.3, -0.7)])
+def test_gauss_jacobi_with_alpha_plus_beta_minus_one(a, b):
+    # the monic recurrence is 0/0 at k = 1 here; the limit must be taken
+    assert a + b == -1.0
+    for n in (2, 5, 24):
+        rule = gauss_jacobi(n, JacobiParams(a, b))
+        with np.errstate(invalid="ignore"):   # scipy's own k = 1 term is 0/0 too
+            x, w = roots_jacobi(n, a, b)
+        assert np.max(np.abs(rule.nodes - x)) < 1e-14
+        assert np.max(np.abs(rule.weights - w) / w) < 1e-11

@@ -145,3 +145,8 @@ def test_distinct_phase_equals_exp_over_full_mesh():
         got = phase((k1, k2))
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
+
+
+def test_split_report_worst_is_the_largest_residual():
+    rep = verify_pos(raw_pair(standard_field))
+    assert rep.worst == worst_residual(rep) > 0.0
