@@ -75,11 +75,6 @@ class BasisSpec:
         """True when the radial differentiation matrix is skew symmetric."""
         return self.kind is BasisKind.WFUNC and self.alpha > 0 and self.beta > 0
 
-    @property
-    def analytic(self) -> bool:
-        a, b = self.alpha, self.beta
-        return a == int(a) and b == int(b) and int(a) % 2 == 0 and int(b) % 2 == 0
-
 
 @dataclass(frozen=True)
 class PolarPoint:
@@ -268,32 +263,23 @@ def distinct_phase(thetas):
 # -- inner products ---------------------------------------------------------
 
 def inner_product(f, g, kind: InnerProductKind = InnerProductKind.CARTESIAN,
-                  resolution: int = 48, d: int = 2,
-                  radial_weight: tuple | None = None) -> complex:
+                  resolution: int = 48, d: int = 2) -> complex:
     """Quadrature inner product of two callables over the coordinate box.
 
     Fields are callables f(r, *theta).  Angular directions use equispaced
     (trapezoidal) sampling, exact for trigonometric integrands of bandwidth
-    below the resolution; the radial direction uses Gauss-Jacobi.  When
-    radial_weight=(a, b) is given, the rule absorbs the integrand's algebraic
-    endpoint factors (1-r)^a r^b; otherwise a Gauss-Legendre rule is used.
+    below the resolution; the radial direction uses Gauss-Legendre.
     """
     if resolution < 1:
         raise UsageError(f"resolution must be >= 1, got {resolution}")
     if kind is InnerProductKind.POLAR and d != 2:
         raise UsageError("polar inner product implemented for d=2 only")
-    a, b = radial_weight if radial_weight is not None else (0.0, 0.0)
-    r, w = gauss_jacobi_01(resolution, a, b)
-    if radial_weight is not None:
-        # caller promises f*conj(g) = (1-r)^a r^b * smooth; divide the factor out
-        strip = (1.0 - r) ** a * r ** b
-    else:
-        strip = np.ones_like(r)
+    r, w = gauss_jacobi_01(resolution, 0.0, 0.0)
     if kind is InnerProductKind.POLAR:
         w = w * r
     mesh = np.meshgrid(r, *angular_grid(d, resolution), indexing="ij")
     vals = f(*mesh) * np.conj(g(*mesh))
     for _ in range(d - 1):
         vals = vals.sum(axis=-1)
-    total = np.dot(w, vals / strip)
+    total = np.dot(w, vals)
     return complex(total * np.prod(cell_measures(d, resolution)))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -24,7 +23,6 @@ from .diffmat import (
     RADIAL_SCALE,
     asymmetry_S_ex1,
     asymmetry_beta0,
-    build_Dr,
     build_Dr_quad,
     build_diff_ops,
     compound_radial,
@@ -231,18 +229,25 @@ def run_ex3(config: RunConfig):
     _emit(config, report, "ex3")
 
 
+def _split_expansion(config: RunConfig, split_tol: float, d: int = 2) -> ErrorReport:
+    """Split the test field, check the split residuals, expand and report."""
+    f = test_field(d)
+    pair = make_pos(f, Template.LINEAR, d=d)
+    worst = verify_pos(pair).worst
+    _check("split_residuals", worst <= split_tol, f"worst = {worst:.3e}")
+    # the ball bases need beta == alpha
+    spec = BasisSpec(alpha=config.alpha, beta=config.beta if d == 2 else config.alpha,
+                     d=d, N=config.N, K=config.K)
+    coeffs = (analyze_disc if d == 2 else analyze_ball3)(pair, spec)
+    report = error_report(f, coeffs, config.M)
+    _print_report(report)
+    return report
+
+
 def run_ex4(config: RunConfig):
     """Orthogonal splitting with a non-analytic basis (alpha = beta = 1):
     the splitting restores boundedness but decay stays algebraic."""
-    f = test_field()
-    pair = make_pos(f, Template.LINEAR)
-    worst = verify_pos(pair).worst
-    _check("split_residuals", worst <= 1e-8, f"worst = {worst:.3e}")
-    spec = BasisSpec(alpha=config.alpha, beta=config.beta, d=2,
-                     N=config.N, K=config.K)
-    coeffs = analyze_disc(pair, spec)
-    report = error_report(f, coeffs, config.M)
-    _print_report(report)
+    report = _split_expansion(config, 1e-8)
     nz = nonzero_decay(report)
     tail = nz[len(nz) // 2:]
     slope, r2 = loglog_fit([q for q, _ in tail], [v for _, v in tail])
@@ -255,16 +260,8 @@ def run_ex4(config: RunConfig):
 
 def run_ex5(config: RunConfig):
     """The headline configuration: splitting plus the analytic skew basis
-    gives geometric decay and ~1e-9 accuracy from 77 coefficients."""
-    f = test_field()
-    pair = make_pos(f, Template.LINEAR)
-    worst = verify_pos(pair).worst
-    _check("split_residuals", worst <= 1e-9, f"worst = {worst:.3e}")
-    spec = BasisSpec(alpha=config.alpha, beta=config.beta, d=2,
-                     N=config.N, K=config.K)
-    coeffs = analyze_disc(pair, spec)
-    report = error_report(f, coeffs, config.M)
-    _print_report(report)
+    gives geometric decay and ~3e-10 accuracy from 77 coefficients."""
+    report = _split_expansion(config, 1e-9)
     n_coeff = (2 * config.K + 1) * (config.N + 1)
     print(f"  degrees of freedom: {n_coeff}")
     nz = nonzero_decay(report)
@@ -278,15 +275,7 @@ def run_ex5(config: RunConfig):
 
 def run_ball3d(config: RunConfig):
     """Splitting and analysis on the 3-dimensional ball."""
-    f = test_field(d=3)
-    pair = make_pos(f, Template.LINEAR, d=3)
-    worst = verify_pos(pair).worst
-    _check("split_residuals", worst <= 1e-9, f"worst = {worst:.3e}")
-    spec = BasisSpec(alpha=config.alpha, beta=config.alpha, d=3,
-                     N=config.N, K=config.K)
-    coeffs = analyze_ball3(pair, spec)
-    report = error_report(f, coeffs, config.M)
-    _print_report(report)
+    report = _split_expansion(config, 1e-9, d=3)
     nz = nonzero_decay(report)
     # geometric decay: log-linear in the position within the nonzero sequence
     pos = 1.0 + np.arange(len(nz))

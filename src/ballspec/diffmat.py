@@ -30,7 +30,7 @@ from .jacobi import (
     orthonormal_all,
     orthonormal_deriv_all,
 )
-from .basis import BasisSpec, BasisKind, UsageError, ex1_radial
+from .basis import BasisSpec, UsageError, ex1_radial
 from .semisep import SemiSep2
 
 #: d/dr action of the reference-interval radial matrix is this multiple of it.

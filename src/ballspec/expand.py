@@ -31,7 +31,7 @@ from .basis import (
     wfunc_radial,
 )
 from .jacobi import JacobiParams, gauss_jacobi_01, orthonormal_all
-from .split import SplitPair, verify_pos
+from .split import SplitPair, raw_pair, verify_pos
 
 
 def quad_pad() -> int:
@@ -44,15 +44,20 @@ def quad_pad() -> int:
 class CoeffTensor:
     """Expansion coefficients of a split field.
 
-    fhat is indexed (n, m+K) for d=2 and (n, k1+K, k2+K) for d=3.  fcirc
-    holds the angular coefficients of the affine part; the affine radial
-    profiles live on the attached pair.
+    fhat is indexed (n, m+K) for d=2 and (n, k1+K, k2+K) for d=3 and expands
+    f1.  fcirc holds the origin coefficients g of the affine part; the pair
+    supplies each split mode's c and the template T, so mode m of the field
+    is g_m T + f1_m / (1 + c_m) and synthesis needs no field samples.
     """
 
     fhat: np.ndarray
     fcirc: dict
     spec: BasisSpec
     pair: SplitPair | None = None
+
+    def __post_init__(self):
+        if self.fcirc and self.pair is None:
+            raise UsageError("an affine part (fcirc) needs the split pair that carries c and T")
 
 
 def flatten_index(n: int, m: int, spec: BasisSpec) -> int:
@@ -83,16 +88,18 @@ def _modes(spec: BasisSpec):
     return list(ks) if spec.d == 2 else [(k1, k2) for k1 in ks for k2 in ks]
 
 
-def _analyze(f, spec: BasisSpec, weight, table, scale) -> np.ndarray:
+def _analyze(pair: SplitPair, spec: BasisSpec, weight, table, scale) -> np.ndarray:
     """fhat[:, mode] = scale * (table(r) @ (w * F_mode(r))) over the flat modes.
 
-    f is sampled on the Gauss-Jacobi rule for the radial weight
-    (1-r)^weight[0] r^weight[1] times the angular grid; F_mode is its
-    angular integral and table(r) the (N+1, nodes) radial factor.
+    pair.f is sampled once, on the Gauss-Jacobi rule for the radial weight
+    (1-r)^weight[0] r^weight[1] times the angular grid; F_mode is the
+    angular integral of f1, mapped from that of f by the split, and
+    table(r) the (N+1, nodes) radial factor.
     """
     r, w = gauss_jacobi_01(spec.N + quad_pad(), *weight)
     mesh = np.meshgrid(r, *angular_grid(spec.d, max(2 * spec.K + 2, 16)), indexing="ij")
-    F = angular_dft(f(*mesh), spec.d, spec.K)
+    F = pair.residual_coeffs(angular_dft(pair.f(*mesh), spec.d, spec.K), r,
+                             2.0 * np.pi ** (spec.d - 1))
     rad = table(r)
     fhat = np.empty((spec.N + 1, (2 * spec.K + 1) ** (spec.d - 1)), dtype=complex)
     for i, mode in enumerate(_modes(spec)):
@@ -106,7 +113,7 @@ def _analyze_wfunc(pair: SplitPair, spec: BasisSpec, check: bool, d: int) -> Coe
                          f"got {spec.kind.value} in d={spec.d}")
     _check_pair(pair, check)
     a, b = spec.alpha, spec.beta
-    fhat = _analyze(pair.f1, spec, (0.5 * a, 0.5 * b),
+    fhat = _analyze(pair, spec, (0.5 * a, 0.5 * b),
                     lambda r: orthonormal_all(spec.N, JacobiParams(a, b), 2.0 * r - 1.0),
                     np.pi ** (-0.5 * (d - 1)) * 2.0 ** (0.5 * (a + b)))
     return CoeffTensor(fhat=fhat, fcirc=dict(pair.origin_coeffs), spec=spec, pair=pair)
@@ -126,7 +133,7 @@ def analyze_polar_weighted(f, N: int, K: int, alpha: float) -> CoeffTensor:
     """Coefficients of f over the polar-inner-product family (no splitting)."""
     spec = BasisSpec(alpha=alpha, beta=1.0, d=2, N=N, K=K, kind=BasisKind.EX1_WEIGHTED)
     # the rule absorbs (1-r)^(a/2) * r
-    fhat = _analyze(f, spec, (0.5 * alpha, 1.0),
+    fhat = _analyze(raw_pair(f), spec, (0.5 * alpha, 1.0),
                     lambda r: ex1_radial(range(N + 1), alpha, r) / (1.0 - r) ** (0.5 * alpha),
                     (2.0 * np.pi) ** -0.5)
     return CoeffTensor(fhat=fhat, fcirc={}, spec=spec, pair=None)
@@ -147,34 +154,32 @@ def _synthesize(coeffs: CoeffTensor, r, thetas) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     thetas = [np.asarray(t, dtype=float) for t in thetas]
     out = np.zeros(np.broadcast(r, *thetas).shape, dtype=complex)
-    if coeffs.pair is not None and not _affine_is_zero(coeffs):
-        out = out + coeffs.pair.f0(r, *thetas)
     ru, inv = np.unique(np.atleast_1d(r).ravel(), return_inverse=True)
     rad, scale = _radial_family(spec, ru)
+    # mode -> radial profile at the distinct radii; a split mode is g T + f1 / (1 + c)
+    profiles = {mode: scale * (col @ rad) for mode, col in
+                zip(_modes(spec), coeffs.fhat.reshape(spec.N + 1, -1).T) if np.any(col)}
+    if coeffs.fcirc:
+        t = coeffs.pair.profile(ru)
+        for m, g in coeffs.fcirc.items():
+            profiles[m] = g * t + profiles.get(m, 0.0) / (1.0 + coeffs.pair.c[m])
     phase = distinct_phase(thetas)
-    for mode, col in zip(_modes(spec), coeffs.fhat.reshape(spec.N + 1, -1).T):
-        if not np.any(col):
-            continue
-        prof = (scale * (col @ rad))[inv].reshape(np.atleast_1d(r).shape)
-        if r.ndim == 0:
-            prof = prof[0]
-        out = out + prof * phase(mode)
+    for mode, prof in profiles.items():
+        out = out + prof[inv].reshape(r.shape) * phase(mode)
     return out
 
 
 def synthesize(coeffs: CoeffTensor, r, *thetas) -> np.ndarray:
     """Evaluate affine part plus truncated basis sum at the given points.
 
-    The radial family follows coeffs.spec (kind and d), so coefficients from
-    any analyze_* function are summed in their own basis.  Radial work is
-    one O(N) recurrence pass per distinct radius, shared by every mode; each
+    Per split mode the sum is g_m T(r) + f1_m(r) / (1 + c_m), from fcirc and
+    the pair's c and template, so the field is never evaluated.  The radial
+    family follows coeffs.spec (kind and d), so coefficients from any
+    analyze_* function are summed in their own basis.  Radial work is one
+    O(N) recurrence pass per distinct radius, shared by every mode; each
     mode's phase is taken once per distinct angle tuple.
     """
     return _synthesize(coeffs, r, thetas)
-
-
-def _affine_is_zero(coeffs: CoeffTensor) -> bool:
-    return not coeffs.fcirc or all(abs(v) == 0.0 for v in coeffs.fcirc.values())
 
 
 # -- error metrics ----------------------------------------------------------

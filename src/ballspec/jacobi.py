@@ -110,6 +110,9 @@ def norm_h(n: int, params: JacobiParams) -> float:
     if n < 0:
         raise ParameterError(f"degree must be nonnegative, got {n}")
     a, b = params.alpha, params.beta
+    if n == 0 and 1.0 + a + b == 0.0:
+        # the log-gamma form is 0 * inf here (Chebyshev among them); h_0 is the mass
+        return weight_mass(params)
     log_h = (
         (1.0 + a + b) * np.log(2.0)
         + lgamma(1.0 + a + n)

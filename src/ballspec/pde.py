@@ -81,8 +81,7 @@ def split_by_mode(op: SemidiscreteOp, v: np.ndarray):
     return out
 
 
-def propagate(op: SemidiscreteOp, v: np.ndarray, t: float,
-              use_contour: bool = False) -> np.ndarray:
+def propagate(op: SemidiscreteOp, v: np.ndarray, t: float) -> np.ndarray:
     """Exact flow of the semidiscrete system over time t.
 
     Diffusion uses exp(t L); Schrodinger uses exp(i t L) and is valid for
@@ -95,13 +94,7 @@ def propagate(op: SemidiscreteOp, v: np.ndarray, t: float,
     for m in op.modes:
         gen = op.mode_blocks[m]
         gen = 1j * gen if op.kind is PdeKind.SCHRODINGER else gen
-        seg = segments[m].astype(complex)
-        if use_contour:
-            from .semisep import contour_apply, default_contour
-            out.append(contour_apply(np.exp, t * gen, seg,
-                                     default_contour(t * gen)))
-        else:
-            out.append(scipy.linalg.expm(t * gen) @ seg)
+        out.append(scipy.linalg.expm(t * gen) @ segments[m].astype(complex))
     return np.concatenate(out)
 
 

@@ -12,7 +12,7 @@ still has rank at most 2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -307,6 +307,13 @@ def solve_shifted(a, lam: complex, rhs: np.ndarray, tol: float = 1e-10) -> np.nd
     return x
 
 
+#: default_contour's radius over the spectrum's spread about its centroid
+CONTOUR_MARGIN = 1.25
+#: contour_apply's relative agreement target and node budget
+CONTOUR_TOL = 1e-10
+CONTOUR_MAX_NODES = 1024
+
+
 @dataclass(frozen=True)
 class ContourSpec:
     """Circular contour enclosing the spectrum, sampled at roots of unity."""
@@ -327,23 +334,23 @@ def spectral_radius_estimate(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(dense)))) if dense.size else 0.0
 
 
-def default_contour(a, margin: float = 1.25, nodes: int = 32) -> ContourSpec:
-    """Circle centred at the eigenvalue centroid with a safety margin."""
+def default_contour(a) -> ContourSpec:
+    """Circle centred at the eigenvalue centroid, CONTOUR_MARGIN times its spread."""
     dense = a.to_dense() if isinstance(a, SemiSep2) else np.asarray(a)
     if dense.size == 0:
-        return ContourSpec(center=0.0, radius=1e-8, nodes=nodes)
+        return ContourSpec(center=0.0, radius=1e-8)
     eig = np.linalg.eigvals(dense)
     center = complex(np.mean(eig))
     spread = float(np.max(np.abs(eig - center)))
-    return ContourSpec(center=center, radius=margin * max(spread, 1e-8), nodes=nodes)
+    return ContourSpec(center=center, radius=CONTOUR_MARGIN * max(spread, 1e-8))
 
 
-def contour_apply(g, a, v: np.ndarray, spec: ContourSpec | None = None,
-                  tol: float = 1e-10, max_nodes: int = 1024) -> np.ndarray:
+def contour_apply(g, a, v: np.ndarray, spec: ContourSpec | None = None) -> np.ndarray:
     """Apply the analytic matrix function g(A) to v by resolvent quadrature.
 
     Trapezoidal rule on a circle enclosing the spectrum; the node count is
-    doubled until two successive results agree to tol (relative to ||v||).
+    doubled until two successive results agree to CONTOUR_TOL (relative to
+    ||v||), up to CONTOUR_MAX_NODES nodes.
     """
     v = np.asarray(v, dtype=complex)
     if spec is None:
@@ -356,15 +363,15 @@ def contour_apply(g, a, v: np.ndarray, spec: ContourSpec | None = None,
     scale = max(np.linalg.norm(v), 1e-300)
     prev = None
     nodes = spec.nodes
-    while nodes <= max_nodes:
+    while nodes <= CONTOUR_MAX_NODES:
         phis = 2.0 * np.pi * np.arange(nodes) / nodes
         lams = spec.center + spec.radius * np.exp(1j * phis)
         acc = np.zeros_like(v)
         for lam in lams:
             acc += g(lam) * (lam - spec.center) * solve_shifted(a, lam, v, tol=1e-8)
         acc /= nodes
-        if prev is not None and np.linalg.norm(acc - prev) <= tol * scale:
+        if prev is not None and np.linalg.norm(acc - prev) <= CONTOUR_TOL * scale:
             return acc
         prev = acc
         nodes *= 2
-    raise ContourError(f"contour quadrature did not converge within {max_nodes} nodes")
+    raise ContourError(f"contour quadrature did not converge within {CONTOUR_MAX_NODES} nodes")

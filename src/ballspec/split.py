@@ -15,7 +15,7 @@ global orthogonality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,7 +26,9 @@ from .jacobi import gauss_jacobi_01
 
 #: Gauss-Legendre radii of make_pos's Gram-Schmidt step and of verify_pos.
 N_RADIAL = 48
-#: Origin modes below this fraction of the largest (at least 1) are dropped.
+#: Origin modes below this fraction of the largest are dropped, and a mode
+#: whose residual is below this fraction of its template part is a pure
+#: template multiple (c = 0).
 COEFF_TOL = 1e-13
 
 
@@ -48,17 +50,37 @@ def template_profile(template: Template, custom=None):
 
 @dataclass
 class SplitPair:
-    """Result of the splitting; f0 + f1 reproduces f pointwise."""
+    """Result of the splitting; f0 + f1 reproduces f pointwise.
+
+    Per split mode m the parts are f0_m = g_m T - c_m/(1 + c_m) f1_m and
+    f1_m = (1 + c_m)(f_m - g_m T), with g = origin_coeffs and T = profile,
+    so (g, c, T) and the coefficients of f1 determine the expansion.
+    """
 
     f: object
     f0: object
     f1: object
     c: dict
     origin_coeffs: dict
-    profiles: dict        # mode -> radial profile of the affine part
-    template: Template
+    profile: object       # radial template T of the affine part
     d: int = 2
     degenerate: bool = False
+
+    def residual_coeffs(self, F: dict, r, measure: float) -> dict:
+        """Angular integrals of f1 at the radii r from those of f (mode -> F(r)).
+
+        measure is the angular measure of the integrals (2 pi for d=2,
+        2 pi^2 for d=3).  A split mode maps to (1 + c)(F - measure g T(r)),
+        or to zero in a degenerate pair, where every split mode is a
+        template multiple; other modes pass through.
+        """
+        out = dict(F)
+        t = self.profile(r) if self.origin_coeffs else None
+        for m, g in self.origin_coeffs.items():
+            if m in out:
+                out[m] = np.zeros_like(out[m]) if self.degenerate else \
+                    (1.0 + self.c[m]) * (out[m] - measure * g * t)
+        return out
 
 
 def _residual_profiles(f, modes, g, T, d, n_samples, r):
@@ -68,6 +90,10 @@ def _residual_profiles(f, modes, g, T, d, n_samples, r):
     fm = angular_dft(f(*mesh), d, int(np.max(np.abs(list(modes)))), mean=True)
     t = T(r)
     return {m: fm[m] - g[m] * t for m in modes}
+
+
+def _zero(r, *thetas):
+    return np.zeros(np.broadcast(np.asarray(r), *thetas).shape, dtype=complex)
 
 
 def _check_dim(d: int):
@@ -83,10 +109,13 @@ def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
     f is a callable f(r, theta) (d=2) or f(r, theta1, theta2) (d=3) accepting
     arrays, continuous on the closed box with f(1, .) = 0.  n_samples angular
     samples per axis must resolve the modes up to k_max: n_samples >=
-    2*k_max + 1.  The returned f0 samples f again at the radii it is given,
-    except at the N_RADIAL Gauss-Legendre nodes of this split (those of
-    verify_pos and inner_product at the same resolution), where it reuses
-    the samples taken here.
+    2*k_max + 1.  The split is a per-mode affine map (see SplitPair); its
+    thresholds are relative to the field, so s*f splits like f for any
+    scale s > 0.  The f0 and f1 callables are for verification: f0 samples
+    f again at the radii it is given, except at the N_RADIAL Gauss-Legendre
+    nodes of this split (those of verify_pos and inner_product at the same
+    resolution), where it reuses the samples taken here.  Analysis and
+    synthesis use the map instead.
     """
     _check_dim(d)
     if n_samples < 2 * k_max + 1:
@@ -96,7 +125,7 @@ def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
     T = template_profile(template, custom_template)
     origin_mesh = np.meshgrid(np.array([0.0]), *angular_grid(d, n_samples), indexing="ij")
     origin = angular_dft(f(*origin_mesh)[0], d, k_max, mean=True)
-    scale = max(np.max(np.abs(list(origin.values()))), 1.0)
+    scale = np.max(np.abs(list(origin.values())))
     modes = [m for m, v in origin.items() if abs(complex(np.asarray(v))) > COEFF_TOL * scale]
 
     rq, wq = gauss_jacobi_01(N_RADIAL, 0.0, 0.0)
@@ -109,7 +138,7 @@ def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
     for m in modes:
         resid = resid_at_nodes[m]
         denom = np.dot(wq, np.abs(resid) ** 2)
-        pure.append(denom <= 1e-28)
+        pure.append(denom <= COEFF_TOL ** 2 * np.dot(wq, np.abs(g[m] * t_nodes) ** 2))
         c[m] = 0j if pure[-1] else complex(np.dot(wq, g[m] * t_nodes * np.conj(resid)) / denom)
     degenerate = bool(modes) and all(pure)
 
@@ -133,33 +162,17 @@ def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
             prof_u = g[m] * T(ru)
             if m in resid_u:
                 prof_u = prof_u - c[m] * resid_u[m]
-            prof = prof_u[inv].reshape(np.atleast_1d(r).shape)
-            if r.ndim == 0:
-                prof = prof[0]
-            out = out + prof * phase(m)
+            out = out + prof_u[inv].reshape(r.shape) * phase(m)
         return out
 
     def f1(r, *thetas):
         return f(r, *thetas) - f0(r, *thetas)
 
-    def profile_factory(m):
-        def prof(r):
-            r = np.atleast_1d(np.asarray(r, dtype=float))
-            base = g[m] * T(r)
-            if c[m] != 0.0:
-                base = base - c[m] * _residual_profiles(f, {m}, g, T, d, n_samples, r)[m]
-            return base
-        return prof
-
-    profiles = {m: profile_factory(m) for m in modes}
     if degenerate:
-        return SplitPair(f=f, f0=f, f1=lambda r, *th: np.zeros(
-            np.broadcast(np.asarray(r), *th).shape, dtype=complex),
-            c=c, origin_coeffs=g, profiles=profiles, template=template,
-            d=d, degenerate=True)
+        return SplitPair(f=f, f0=f, f1=_zero, c=c, origin_coeffs=g, profile=T, d=d,
+                         degenerate=True)
 
-    return SplitPair(f=f, f0=f0, f1=f1, c=c, origin_coeffs=g,
-                     profiles=profiles, template=template, d=d)
+    return SplitPair(f=f, f0=f0, f1=f1, c=c, origin_coeffs=g, profile=T, d=d)
 
 
 def raw_pair(f, d: int = 2) -> SplitPair:
@@ -168,10 +181,7 @@ def raw_pair(f, d: int = 2) -> SplitPair:
     Not an orthogonal splitting unless f(0, .) = 0; use with verification
     disabled.
     """
-    def zero(r, *thetas):
-        return np.zeros(np.broadcast(np.asarray(r), *thetas).shape, dtype=complex)
-    return SplitPair(f=f, f0=zero, f1=f, c={}, origin_coeffs={}, profiles={},
-                     template=Template.LINEAR, d=d)
+    return SplitPair(f=f, f0=_zero, f1=f, c={}, origin_coeffs={}, profile=None, d=d)
 
 
 @dataclass

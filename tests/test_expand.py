@@ -235,26 +235,32 @@ def test_export_round_trips(tmp_path):
 
 
 def reference_synthesis(coeffs, r, *thetas):
-    """Per-degree radial calls and a full-mesh exp per mode, with the same
-    reductions as the library: degree sums over the distinct radii, modes
-    added in flat order."""
-    spec = coeffs.spec
+    """The closed sum g_m T + f1_m / (1 + c_m) per split mode, with per-degree
+    radial calls and a full-mesh exp per mode, and the same reductions as
+    the library: degree sums over the distinct radii, modes added in flat
+    order."""
+    spec, pair = coeffs.spec, coeffs.pair
     K = spec.K
     radial = wfunc_radial if spec.d == 2 else ball_radial
     ru, inv = np.unique(r, return_inverse=True)
     rad = np.array([radial(spec, n, ru) for n in range(spec.N + 1)])
-    out = np.zeros(r.shape, dtype=complex) + coeffs.pair.f0(r, *thetas)
+    out = np.zeros(r.shape, dtype=complex)
     cols = coeffs.fhat.reshape(spec.N + 1, -1).T
     if spec.d == 2:
         modes = [(m,) for m in range(-K, K + 1)]
     else:
         modes = [(k1, k2) for k1 in range(-K, K + 1) for k2 in range(-K, K + 1)]
     for mode, col in zip(modes, cols):
-        if not np.any(col):
+        key = mode[0] if spec.d == 2 else mode
+        if key in coeffs.fcirc:
+            prof = coeffs.fcirc[key] * pair.profile(ru) + (col @ rad) / (1.0 + pair.c[key])
+        elif np.any(col):
+            prof = col @ rad
+        else:
             continue
         arg = mode[0] * thetas[0] if spec.d == 2 else \
             mode[0] * thetas[0] + 2.0 * mode[1] * thetas[1]
-        out = out + (col @ rad)[inv].reshape(r.shape) * np.exp(1j * arg)
+        out = out + prof[inv].reshape(r.shape) * np.exp(1j * arg)
     return out
 
 
@@ -299,3 +305,61 @@ def test_analyze_ball3_refuses_other_families(kind):
     field = lambda r, t1, t2: np.zeros(np.broadcast(r, t1, t2).shape)
     with pytest.raises(UsageError, match="weighted basis"):
         analyze_ball3(raw_pair(field, d=3), spec, check=False)
+
+
+def counted(f):
+    """f with a running count of the points it is evaluated on."""
+    def g(r, *thetas):
+        g.points += np.broadcast(np.asarray(r), *thetas).size
+        return f(r, *thetas)
+    g.points = 0
+    return g
+
+
+def test_synthesize_never_evaluates_the_field():
+    f = counted(standard_field)
+    coeffs = analyze_disc(make_pos(f, Template.LINEAR), DISC_SPEC)
+    f.points = 0
+    mesh = np.meshgrid(*standard_grid(24), indexing="ij")
+    synthesize(coeffs, *mesh)
+    synthesize(coeffs, 0.3, 0.1)
+    assert f.points == 0
+
+
+@pytest.mark.parametrize("spec", [DISC_SPEC, BasisSpec(alpha=2.0, beta=2.0, d=2, N=20, K=9)])
+def test_analysis_samples_the_field_once(spec):
+    f = counted(standard_field)
+    pair = make_pos(f, Template.LINEAR)
+    f.points = 0
+    analyze_disc(pair, spec, check=False)
+    assert f.points == (spec.N + quad_pad()) * max(2 * spec.K + 2, 16)
+
+
+def test_closed_expansion_error_is_the_residual_error_over_one_plus_c():
+    # the callback form f0 + sum fhat errs by the truncation error of f1;
+    # the closed form by that of f_m - g_m T, which is |1 + c| times smaller
+    pair = make_pos(standard_field, Template.LINEAR)
+    coeffs = analyze_disc(pair, DISC_SPEC)
+    closed = error_report(standard_field, coeffs, M=6).e_inf
+    mesh = np.meshgrid(*standard_grid(6), indexing="ij")
+    f1_sum = synthesize(CoeffTensor(fhat=coeffs.fhat, fcirc={}, spec=DISC_SPEC), *mesh)
+    callback = np.max(np.abs(pair.f0(*mesh) + f1_sum - standard_field(*mesh)))
+    assert closed * abs(1.0 + pair.c[1]) == pytest.approx(callback, rel=1e-6)
+    assert closed < callback
+
+
+def test_affine_part_without_pair_is_refused():
+    with pytest.raises(UsageError, match="fcirc"):
+        CoeffTensor(fhat=np.zeros((7, 11), dtype=complex), fcirc={1: 1.0}, spec=DISC_SPEC)
+
+
+def test_degenerate_split_expands_the_modes_without_an_origin_value():
+    # mode 1 is a template multiple (a degenerate pair); mode 2 vanishes at
+    # the origin and is carried by fhat
+    f = lambda r, th: (1.0 - np.asarray(r)) * np.exp(1j * np.asarray(th)) \
+        + np.asarray(r) * (1.0 - np.asarray(r)) * np.exp(2j * np.asarray(th))
+    pair = make_pos(f, Template.LINEAR)
+    assert pair.degenerate and list(pair.c) == [1]
+    coeffs = analyze_disc(pair, DISC_SPEC)
+    assert not np.any(coeffs.fhat[:, 1 + 5])
+    assert error_report(f, coeffs, M=6).e_inf < 1e-14

@@ -107,3 +107,15 @@ def test_gauss_jacobi_with_alpha_plus_beta_minus_one(a, b):
             x, w = roots_jacobi(n, a, b)
         assert np.max(np.abs(rule.nodes - x)) < 1e-14
         assert np.max(np.abs(rule.weights - w) / w) < 1e-11
+
+
+@pytest.mark.parametrize("a, b", [(-0.5, -0.5), (-0.3, -0.7)])
+def test_orthonormal_family_with_alpha_plus_beta_minus_one(a, b):
+    # h_0 is the weight mass; the log-gamma form is 0 * inf at a + b = -1
+    params = JacobiParams(a, b)
+    rule = gauss_jacobi(8, params)
+    vals = orthonormal_all(7, params, rule.nodes)
+    gram = (vals * rule.weights) @ vals.T
+    assert np.max(np.abs(gram - np.eye(8))) < 1e-12
+    mass = 2.0 ** (a + b + 1) * gamma(a + 1) * gamma(b + 1) / gamma(a + b + 2)
+    assert norm_h(0, params) == pytest.approx(mass, rel=1e-12)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ballspec.basis import InnerProductKind, UsageError, inner_product
+from ballspec.basis import InnerProductKind, UsageError, angular_dft, angular_grid, inner_product
 from ballspec.jacobi import gauss_jacobi_01
 from ballspec.split import (
     SplitPair,
@@ -117,14 +117,18 @@ def multi_mode_field(r, th):
 @pytest.mark.parametrize("template", [Template.LINEAR, Template.COSINE])
 def test_f0_at_split_nodes_equals_resampling_path(template):
     # f0 at make_pos's own radial nodes reuses its samples; the reference
-    # re-samples f through the per-mode profiles in the same mode order
+    # re-samples f there and forms g T - c (f_m - g T) in the same mode order
     pair = make_pos(multi_mode_field, template)
+    T = template_profile(template)
     rq, _ = gauss_jacobi_01(48, 0.0, 0.0)
+    fm = angular_dft(multi_mode_field(*np.meshgrid(rq, *angular_grid(2, 64), indexing="ij")),
+                     2, 16, mean=True)
     th = np.linspace(-np.pi, np.pi, 32, endpoint=False)
     mesh = np.meshgrid(rq, th, indexing="ij")
     ref = np.zeros(mesh[0].shape, dtype=complex)
-    for m in pair.c:
-        ref = ref + pair.profiles[m](rq)[:, None] * np.exp(1j * m * th)[None, :]
+    for m, g in pair.origin_coeffs.items():
+        prof = g * T(rq) - pair.c[m] * (fm[m] - g * T(rq))
+        ref = ref + prof[:, None] * np.exp(1j * m * th)[None, :]
     assert any(c != 0.0 for c in pair.c.values())
     assert np.array_equal(pair.f0(*mesh), ref)
 
@@ -150,3 +154,18 @@ def test_distinct_phase_equals_exp_over_full_mesh():
 def test_split_report_worst_is_the_largest_residual():
     rep = verify_pos(raw_pair(standard_field))
     assert rep.worst == worst_residual(rep) > 0.0
+
+
+def test_tiny_field_keeps_its_origin_mode():
+    s = 1e-16
+    pair = make_pos(lambda r, th: s * standard_field(r, th), Template.LINEAR)
+    assert list(pair.c) == [1]
+    assert verify_pos(pair).origin_residual / s < 1e-12
+
+
+@pytest.mark.parametrize("s", [1e-16, 1e-8, 1e4])
+def test_split_coefficient_is_scale_invariant(s):
+    c = make_pos(standard_field, Template.LINEAR).c
+    scaled = make_pos(lambda r, th: s * standard_field(r, th), Template.LINEAR).c
+    assert list(scaled) == list(c)
+    assert abs(scaled[1] - c[1]) <= 1e-12 * abs(c[1])
