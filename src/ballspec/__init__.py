@@ -42,11 +42,12 @@ from .diffmat import (
     compound_radial,
     compound_angular,
 )
-from .semisep import SemiSep2, ContourSpec, matvec, to_dense, from_dense, solve_shifted, contour_apply
+from .semisep import SemiSep2, ContourSpec, matvec, to_dense, solve_shifted, contour_apply
 from .split import SplitPair, Template, make_pos, verify_pos, raw_pair
 from .expand import (
     CoeffTensor,
     ErrorReport,
+    analyze,
     analyze_disc,
     analyze_ball3,
     analyze_polar_weighted,

@@ -17,6 +17,7 @@ measures, centred DFT and phase) is also defined here, for every module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -115,46 +116,41 @@ def _jacobi_rows(n, params: JacobiParams, x):
 
 
 def wfunc_radial(spec: BasisSpec, n, r):
-    """Radial factor of the weighted disc basis (everything except e^{im theta}).
+    """Radial factor of the weighted disc or d-ball basis (all but the phase).
 
-    n is a degree or a 1-D sequence of degrees; a sequence gives one row per
-    degree, all from one O(max n) recurrence pass per radius.
+    (1-r)^(a/2) r^(b/2) times the orthonormal Jacobi polynomial in 2r-1,
+    scaled by pi^(-(d-1)/2) 2^((a+b)/2) for unit norm over the coordinate
+    box.  n is a degree or a 1-D sequence of degrees; a sequence gives one
+    row per degree, all from one O(max n) recurrence pass per radius.
     """
     a, b = spec.alpha, spec.beta
     r = np.asarray(r, dtype=float)
-    scale = np.pi ** -0.5 * 2.0 ** (0.5 * (a + b))
+    scale = np.pi ** (-0.5 * (spec.d - 1)) * 2.0 ** (0.5 * (a + b))
     # (1-r)^(a/2) r^(b/2) evaluates to a literal zero at the endpoints
     p, sqrt_h = _jacobi_rows(n, JacobiParams(a, b), 2.0 * r - 1.0)
     return scale * (1.0 - r) ** (0.5 * a) * r ** (0.5 * b) * (p / sqrt_h)
 
 
-def wfunc_eval(spec: BasisSpec, n: int, m: int, p: PolarPoint) -> complex:
-    """Weighted disc basis function at a polar point."""
-    if spec.kind is not BasisKind.WFUNC or spec.d != 2:
-        raise UsageError("wfunc_eval requires a d=2 weighted basis spec")
-    return wfunc_radial(spec, n, p.r) * ball_phase(m, p.theta)
-
-
 def ball_radial(spec: BasisSpec, n, r):
-    """Radial factor of the d-ball basis; reduces to wfunc_radial for d=2.
+    """Radial factor of the d-ball basis (beta == alpha): wfunc_radial."""
+    return wfunc_radial(spec, n, r)
 
-    n is a degree or a 1-D sequence of degrees, as in wfunc_radial.
-    """
-    a = spec.alpha
-    r = np.asarray(r, dtype=float)
-    scale = 2.0 ** a * np.pi ** (-0.5 * (spec.d - 1))
-    p, sqrt_h = _jacobi_rows(n, JacobiParams(a, a), 2.0 * r - 1.0)
-    return scale * (r * (1.0 - r)) ** (0.5 * a) * (p / sqrt_h)
+
+def wfunc_eval(spec: BasisSpec, n: int, mode, p) -> complex:
+    """Weighted basis function at a point: an int m and a PolarPoint (d=2),
+    or d-1 angular indices and a BallPoint (d >= 3)."""
+    if spec.kind is not BasisKind.WFUNC:
+        raise UsageError("weighted basis evaluation requires a weighted basis spec")
+    if np.size(mode) != spec.d - 1:
+        raise UsageError(f"need {spec.d - 1} angular indices, got {np.size(mode)}")
+    return wfunc_radial(spec, n, p.r) * ball_phase(mode, p.theta)
 
 
 def ball_basis_eval(spec: BasisSpec, n: int, mvec, p: BallPoint) -> complex:
-    """d-ball basis function; for d=2 it equals wfunc_eval with beta=alpha."""
-    if spec.kind is not BasisKind.WFUNC or spec.beta != spec.alpha:
+    """d-ball basis function: wfunc_eval for a spec with beta == alpha."""
+    if spec.beta != spec.alpha:
         raise UsageError("ball basis requires a weighted spec with beta == alpha")
-    mvec = np.atleast_1d(mvec)
-    if len(mvec) != spec.d - 1:
-        raise UsageError(f"need {spec.d - 1} angular indices, got {len(mvec)}")
-    return ball_radial(spec, n, p.r) * ball_phase(mvec, p.theta)
+    return wfunc_eval(spec, n, mvec, p)
 
 
 def ex1_radial(n, alpha: float, r):
@@ -189,8 +185,15 @@ def zernike_eval(n: int, m: int, p: PolarPoint) -> complex:
 # -- the angular convention ------------------------------------------------
 #
 # theta_1 in [-pi, pi) and, for d >= 3, theta_2.. in [0, pi); an angular
-# mode is an int m (d=2) or a tuple (k1, k2, ...) with the phase
+# mode is an int m (d=2) or a (d-1)-tuple (k1, k2, ...) with the phase
 # exp(i(k1 theta_1 + 2 k2 theta_2 + ...)).
+
+def angular_modes(d: int, k_max: int) -> list:
+    """The modes with every |k| <= k_max, in the flat column order of the
+    coefficients: ints m for d=2, (d-1)-tuples for d >= 3."""
+    ks = range(-k_max, k_max + 1)
+    return list(ks) if d == 2 else list(itertools.product(ks, repeat=d - 1))
+
 
 def angular_grid(d: int, n: int):
     """Equispaced periodic samples, n per angular axis."""
@@ -206,10 +209,11 @@ def cell_measures(d: int, n: int):
 def angular_dft(values, d: int, k_max: int, mean: bool = False) -> dict:
     """mode -> centred Fourier coefficient of samples on angular_grid (axes last).
 
-    The raw DFT is divided by the number of samples (mean=True: Fourier
-    coefficients) or multiplied by each axis' cell measure in turn (angular
-    integrals), then shifted from the sample origin -pi to the centred
-    convention.  d is 2 or 3.
+    values has the d-1 angular axes last; the keys are angular_modes(d,
+    k_max).  The raw DFT is divided by the number of samples (mean=True:
+    Fourier coefficients) or multiplied by each axis' cell measure in turn
+    (angular integrals), then shifted from the sample origin -pi to the
+    centred convention.
     """
     shape = values.shape[values.ndim - (d - 1):]
     coef = np.fft.fftn(values, axes=tuple(range(-(d - 1), 0)))
@@ -220,10 +224,8 @@ def angular_dft(values, d: int, k_max: int, mean: bool = False) -> dict:
             coef = coef * s
     k1s = np.fft.fftfreq(shape[0], d=1.0 / shape[0]).astype(int)
     coef = coef * np.exp(1j * k1s * np.pi).reshape((-1,) + (1,) * (d - 2))
-    if d == 2:
-        return {m: coef[..., m % shape[0]] for m in range(-k_max, k_max + 1)}
-    return {(k1, k2): coef[..., k1 % shape[0], k2 % shape[1]]
-            for k1 in range(-k_max, k_max + 1) for k2 in range(-k_max, k_max + 1)}
+    return {mode: coef[(...,) + tuple(k % n for k, n in zip(np.atleast_1d(mode), shape))]
+            for mode in angular_modes(d, k_max)}
 
 
 def ball_phase(mode, theta):

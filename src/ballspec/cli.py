@@ -31,7 +31,7 @@ from .diffmat import (
 )
 from .expand import (
     ErrorReport,
-    analyze_ball3,
+    analyze,
     analyze_disc,
     analyze_polar_weighted,
     error_report,
@@ -95,12 +95,16 @@ def _check(name: str, ok: bool, detail: str = ""):
 
 
 def test_field(d: int = 2):
-    """The standard smooth test field, vanishing on the boundary r = 1."""
-    if d == 2:
-        return lambda r, th: (1.0 - np.asarray(r)) * np.exp(np.asarray(r)) \
-            * np.exp(1j * (np.asarray(th) + 0.5))
-    return lambda r, t1, t2: (1.0 - np.asarray(r)) * np.exp(np.asarray(r)) \
-        * np.exp(1j * (0.5 + np.asarray(t1) + 2.0 * np.asarray(t2)))
+    """The standard smooth test field f(r, theta1, ..., theta_{d-1}), vanishing
+    on the boundary r = 1, with phase exp(i(0.5 + theta1 + 2 theta2 + ...))."""
+    def f(r, *thetas):
+        if len(thetas) != d - 1:
+            raise UsageError(f"the d={d} test field takes {d - 1} angles, got {len(thetas)}")
+        phase = 0.5 + np.asarray(thetas[0])
+        for t in thetas[1:]:
+            phase = phase + 2.0 * np.asarray(t)
+        return (1.0 - np.asarray(r)) * np.exp(np.asarray(r)) * np.exp(1j * phase)
+    return f
 
 
 def loglog_fit(qs, vals):
@@ -238,7 +242,7 @@ def _split_expansion(config: RunConfig, split_tol: float, d: int = 2) -> ErrorRe
     # the ball bases need beta == alpha
     spec = BasisSpec(alpha=config.alpha, beta=config.beta if d == 2 else config.alpha,
                      d=d, N=config.N, K=config.K)
-    coeffs = (analyze_disc if d == 2 else analyze_ball3)(pair, spec)
+    coeffs = analyze(pair, spec)
     report = error_report(f, coeffs, config.M)
     _print_report(report)
     return report

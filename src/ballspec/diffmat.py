@@ -64,8 +64,13 @@ def ab_coeffs(m_max: int, alpha: float) -> ABCoeffs:
         raise ParameterError("m_max must be nonnegative")
     a = np.empty(m_max + 1)
     b = np.empty(m_max + 1)
-    a[0] = sqrt((2.0 * alpha + 1.0) / (2.0 * exp(lgamma(2.0 * alpha + 1.0))))
-    b[0] = sqrt(exp(lgamma(2.0 * alpha + 2.0)) / 2.0)
+    try:
+        a[0] = sqrt((2.0 * alpha + 1.0) / (2.0 * exp(lgamma(2.0 * alpha + 1.0))))
+        b[0] = sqrt(exp(lgamma(2.0 * alpha + 2.0)) / 2.0)
+    except OverflowError:
+        raise ParameterError(
+            f"alpha = {alpha} is too large: Gamma(2 alpha + 2) overflows the double range"
+        ) from None
     for m in range(1, m_max + 1):
         a[m] = a[m - 1] * sqrt(
             m * (2.0 * m + 2.0 * alpha + 1.0)

@@ -25,7 +25,7 @@ from .basis import (
     UsageError,
     angular_dft,
     angular_grid,
-    ball_radial,
+    angular_modes,
     distinct_phase,
     ex1_radial,
     wfunc_radial,
@@ -44,10 +44,11 @@ def quad_pad() -> int:
 class CoeffTensor:
     """Expansion coefficients of a split field.
 
-    fhat is indexed (n, m+K) for d=2 and (n, k1+K, k2+K) for d=3 and expands
-    f1.  fcirc holds the origin coefficients g of the affine part; the pair
-    supplies each split mode's c and the template T, so mode m of the field
-    is g_m T + f1_m / (1 + c_m) and synthesis needs no field samples.
+    fhat is indexed (n, m+K) for d=2 and (n, k1+K, ..., k_{d-1}+K) for
+    d >= 3 and expands f1.  fcirc holds the origin coefficients g of the
+    affine part; the pair supplies each split mode's c and the template T,
+    so mode m of the field is g_m T + f1_m / (1 + c_m) and synthesis needs
+    no field samples.
     """
 
     fhat: np.ndarray
@@ -77,15 +78,9 @@ def unflatten_index(q: int, spec: BasisSpec):
 def _check_pair(pair: SplitPair, check: bool, tol: float = 1e-8):
     if not check:
         return
-    worst = verify_pos(pair).worst
+    worst = verify_pos(pair).relative
     if worst > tol:
-        raise UsageError(f"split pair fails verification with residual {worst:.3e}")
-
-
-def _modes(spec: BasisSpec):
-    """Angular modes in the column order of fhat.reshape(N + 1, -1)."""
-    ks = range(-spec.K, spec.K + 1)
-    return list(ks) if spec.d == 2 else [(k1, k2) for k1 in ks for k2 in ks]
+        raise UsageError(f"split pair fails verification with relative residual {worst:.3e}")
 
 
 def _analyze(pair: SplitPair, spec: BasisSpec, weight, table, scale) -> np.ndarray:
@@ -102,31 +97,34 @@ def _analyze(pair: SplitPair, spec: BasisSpec, weight, table, scale) -> np.ndarr
                              2.0 * np.pi ** (spec.d - 1))
     rad = table(r)
     fhat = np.empty((spec.N + 1, (2 * spec.K + 1) ** (spec.d - 1)), dtype=complex)
-    for i, mode in enumerate(_modes(spec)):
+    for i, mode in enumerate(angular_modes(spec.d, spec.K)):
         fhat[:, i] = scale * (rad @ (w * F[mode]))
     return fhat.reshape((spec.N + 1,) + (2 * spec.K + 1,) * (spec.d - 1))
 
 
-def _analyze_wfunc(pair: SplitPair, spec: BasisSpec, check: bool, d: int) -> CoeffTensor:
-    if spec.kind is not BasisKind.WFUNC or spec.d != d:
-        raise UsageError(f"this analysis needs a d={d} weighted basis spec, "
-                         f"got {spec.kind.value} in d={spec.d}")
+def analyze(pair: SplitPair, spec: BasisSpec, check: bool = True) -> CoeffTensor:
+    """Expansion coefficients of the residual part over the weighted basis of
+    the spec's dimension d >= 2 (a (d-1)-D FFT and one radial rule)."""
+    if spec.kind is not BasisKind.WFUNC:
+        raise UsageError(f"analysis needs a weighted basis spec, got {spec.kind.value}")
+    if pair.d != spec.d:
+        raise UsageError(f"a d={pair.d} split cannot be expanded in a d={spec.d} basis")
     _check_pair(pair, check)
     a, b = spec.alpha, spec.beta
     fhat = _analyze(pair, spec, (0.5 * a, 0.5 * b),
                     lambda r: orthonormal_all(spec.N, JacobiParams(a, b), 2.0 * r - 1.0),
-                    np.pi ** (-0.5 * (d - 1)) * 2.0 ** (0.5 * (a + b)))
+                    np.pi ** (-0.5 * (spec.d - 1)) * 2.0 ** (0.5 * (a + b)))
     return CoeffTensor(fhat=fhat, fcirc=dict(pair.origin_coeffs), spec=spec, pair=pair)
 
 
 def analyze_disc(pair: SplitPair, spec: BasisSpec, check: bool = True) -> CoeffTensor:
-    """Expansion coefficients of the residual part over the disc basis."""
-    return _analyze_wfunc(pair, spec, check, 2)
+    """analyze on the disc."""
+    return analyze(pair, spec, check)
 
 
 def analyze_ball3(pair: SplitPair, spec: BasisSpec, check: bool = True) -> CoeffTensor:
-    """Expansion coefficients over the 3-ball basis (2-D FFT + radial rule)."""
-    return _analyze_wfunc(pair, spec, check, 3)
+    """analyze on the 3-ball."""
+    return analyze(pair, spec, check)
 
 
 def analyze_polar_weighted(f, N: int, K: int, alpha: float) -> CoeffTensor:
@@ -143,7 +141,7 @@ def _radial_family(spec: BasisSpec, r):
     """(radial factors of degrees 0..N at r, their scale) for the spec's family."""
     degrees = range(spec.N + 1)
     if spec.kind is BasisKind.WFUNC:
-        return (wfunc_radial if spec.d == 2 else ball_radial)(spec, degrees, r), 1.0
+        return wfunc_radial(spec, degrees, r), 1.0
     if spec.kind is BasisKind.EX1_WEIGHTED and spec.d == 2:
         return ex1_radial(degrees, spec.alpha, r), (2.0 * np.pi) ** -0.5
     raise UsageError(f"no synthesis for {spec.kind.value} coefficients in d={spec.d}")
@@ -157,8 +155,9 @@ def _synthesize(coeffs: CoeffTensor, r, thetas) -> np.ndarray:
     ru, inv = np.unique(np.atleast_1d(r).ravel(), return_inverse=True)
     rad, scale = _radial_family(spec, ru)
     # mode -> radial profile at the distinct radii; a split mode is g T + f1 / (1 + c)
+    cols = coeffs.fhat.reshape(spec.N + 1, -1).T
     profiles = {mode: scale * (col @ rad) for mode, col in
-                zip(_modes(spec), coeffs.fhat.reshape(spec.N + 1, -1).T) if np.any(col)}
+                zip(angular_modes(spec.d, spec.K), cols) if np.any(col)}
     if coeffs.fcirc:
         t = coeffs.pair.profile(ru)
         for m, g in coeffs.fcirc.items():
@@ -198,11 +197,7 @@ def standard_grid(M: int, d: int = 2):
         raise UsageError("grid parameter must be >= 1")
     m = np.arange(M + 1)
     r = np.sin(0.5 * np.pi * m / M) ** 2
-    theta1 = -np.pi + 2.0 * np.pi * m / M
-    if d == 2:
-        return r, theta1
-    theta2 = np.pi * m / M
-    return r, theta1, theta2
+    return (r, -np.pi + 2.0 * np.pi * m / M) + (np.pi * m / M,) * (d - 2)
 
 
 def coeff_decay_table(coeffs: CoeffTensor):

@@ -11,7 +11,6 @@ still has rank at most 2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +28,6 @@ class SolveError(RuntimeError):
 
 
 class ContourError(RuntimeError):
-    pass
-
-
-class FitError(RuntimeError):
     pass
 
 
@@ -174,28 +169,6 @@ class SemiSep2:
                 mults += 1
         return np.array(y), mults
 
-    # -- serialisation ------------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "size": self.size,
-            "p": self.p.tolist(),
-            "q": self.q.tolist(),
-            "u": self.u.tolist(),
-            "v": self.v.tolist(),
-            "diag": self.diag.tolist(),
-            "parity_mask": self.parity_mask,
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SemiSep2":
-        d = json.loads(text)
-        return cls(
-            size=d["size"], p=d["p"], q=d["q"], u=d["u"], v=d["v"],
-            diag=np.array(d["diag"]), parity_mask=d["parity_mask"],
-        )
-
 
 def matvec(a: SemiSep2, x):
     return a.matvec(x)
@@ -203,85 +176,6 @@ def matvec(a: SemiSep2, x):
 
 def to_dense(a: SemiSep2):
     return a.to_dense()
-
-
-def from_dense(m: np.ndarray, parity_mask: bool = False, tol: float = 1e-10) -> SemiSep2:
-    """Fit generators to a dense matrix that is exactly representable.
-
-    Unmasked case: gauge the last two columns as the coordinate frame for the
-    rank-2 upper generators (and symmetrically for the lower part).  Masked
-    case: rank-1 generators per parity class, recovered entrywise.  Raises
-    FitError if the reconstruction misses by more than tol.
-    """
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise SizeMismatchError("from_dense expects a square matrix")
-    if parity_mask:
-        fit = _fit_masked(m, n)
-    else:
-        u, v = _fit_rank2_triangle(np.triu(m, 1), n, upper=True)
-        p, q = _fit_rank2_triangle(np.tril(m, -1).T, n, upper=True)
-        fit = SemiSep2(size=n, p=q, q=p, u=u, v=v, diag=np.diag(m).copy())
-    err = np.max(np.abs(fit.to_dense() - m)) if n else 0.0
-    if err > tol:
-        raise FitError(f"matrix is not representable: residual {err:.3e}")
-    return fit
-
-
-def _fit_rank2_triangle(t, n, upper):
-    """Rank-2 generators for a strictly upper triangular array t."""
-    if n < 3:
-        u = np.zeros((2, n))
-        v = np.zeros((2, n))
-        if n == 2:
-            u[0, 0] = t[0, 1]
-            v[0, 1] = 1.0
-        return u, v
-    u = np.zeros((2, n))
-    v = np.zeros((2, n))
-    # gauge: v at the last two columns is the identity frame
-    v[0, n - 2] = 1.0
-    v[1, n - 1] = 1.0
-    u[0, : n - 2] = t[: n - 2, n - 2]
-    u[1, : n - 1] = t[: n - 1, n - 1]
-    # u[0, n-2] from the single entry above column n-1 relation is absorbed in u[1]
-    for j in range(1, n - 2):
-        rows = np.arange(min(j, n - 2))
-        if len(rows) == 0:
-            continue
-        a = u[:, rows].T
-        sol, *_ = np.linalg.lstsq(a, t[rows, j], rcond=None)
-        v[:, j] = sol
-    return u, v
-
-
-def _fit_masked(m, n):
-    """Rank-1-per-parity-class recovery for parity-masked generator matrices."""
-    p = np.zeros((1, n))
-    q = np.zeros((1, n))
-    u = np.zeros((1, n))
-    v = np.zeros((1, n))
-    lower = np.tril(m, -1)
-    upper = np.triu(m, 1)
-    _fill_masked_pair(lower, p[0], q[0], n)
-    # transposed upper part is strictly lower with entries v[i]*u[j]
-    _fill_masked_pair(upper.T, v[0], u[0], n)
-    return SemiSep2(size=n, p=p, q=q, u=u, v=v, parity_mask=True)
-
-
-def _fill_masked_pair(t, row_gen, col_gen, n):
-    # t is strictly lower triangular with entries row_gen[i]*col_gen[j], i+j odd
-    col_gen[0] = 1.0
-    if n > 1:
-        col_gen[1] = 1.0
-    for i in range(1, n):
-        ref = 0 if i % 2 == 1 else 1
-        row_gen[i] = t[i, ref] / col_gen[ref] if ref < i else 0.0
-    for j in range(2, n - 1):
-        i = j + 1
-        if row_gen[i] != 0.0:
-            col_gen[j] = t[i, j] / row_gen[i]
 
 
 def solve_shifted(a, lam: complex, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -354,12 +248,14 @@ def contour_apply(g, a, v: np.ndarray, spec: ContourSpec | None = None) -> np.nd
     """
     v = np.asarray(v, dtype=complex)
     if spec is None:
+        # encloses the spectrum by construction: |lam| <= |c| + spread < |c| + radius
         spec = default_contour(a)
-    rho = spectral_radius_estimate(a)
-    if rho > abs(spec.center) + spec.radius:
-        raise ContourError(
-            f"spectral radius {rho:.3e} not enclosed by contour of radius {spec.radius:.3e}"
-        )
+    else:
+        rho = spectral_radius_estimate(a)
+        if rho > abs(spec.center) + spec.radius:
+            raise ContourError(
+                f"spectral radius {rho:.3e} not enclosed by contour of radius {spec.radius:.3e}"
+            )
     scale = max(np.linalg.norm(v), 1e-300)
     prev = None
     nodes = spec.nodes

@@ -69,10 +69,10 @@ class SplitPair:
     def residual_coeffs(self, F: dict, r, measure: float) -> dict:
         """Angular integrals of f1 at the radii r from those of f (mode -> F(r)).
 
-        measure is the angular measure of the integrals (2 pi for d=2,
-        2 pi^2 for d=3).  A split mode maps to (1 + c)(F - measure g T(r)),
-        or to zero in a degenerate pair, where every split mode is a
-        template multiple; other modes pass through.
+        measure is the angular measure of the integrals, 2 pi^(d-1).  A
+        split mode maps to (1 + c)(F - measure g T(r)), or to zero in a
+        degenerate pair, where every split mode is a template multiple;
+        other modes pass through.
         """
         out = dict(F)
         t = self.profile(r) if self.origin_coeffs else None
@@ -97,8 +97,8 @@ def _zero(r, *thetas):
 
 
 def _check_dim(d: int):
-    if d not in (2, 3):
-        raise UsageError(f"splitting implemented for d in {{2, 3}}, got d={d}")
+    if d < 2:
+        raise UsageError(f"splitting needs d >= 2, got d={d}")
 
 
 def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
@@ -106,16 +106,17 @@ def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
              custom_template=None) -> SplitPair:
     """Split f into an orthogonal (affine, residual) pair.
 
-    f is a callable f(r, theta) (d=2) or f(r, theta1, theta2) (d=3) accepting
-    arrays, continuous on the closed box with f(1, .) = 0.  n_samples angular
+    f is a callable f(r, theta1, ..., theta_{d-1}) accepting arrays, for any
+    d >= 2, continuous on the closed box with f(1, .) = 0.  n_samples angular
     samples per axis must resolve the modes up to k_max: n_samples >=
-    2*k_max + 1.  The split is a per-mode affine map (see SplitPair); its
-    thresholds are relative to the field, so s*f splits like f for any
-    scale s > 0.  The f0 and f1 callables are for verification: f0 samples
-    f again at the radii it is given, except at the N_RADIAL Gauss-Legendre
-    nodes of this split (those of verify_pos and inner_product at the same
-    resolution), where it reuses the samples taken here.  Analysis and
-    synthesis use the map instead.
+    2*k_max + 1; f is sampled on n_samples^(d-1) angles per radius.  The
+    split is a per-mode affine map (see SplitPair); its thresholds are
+    relative to the field, so s*f splits like f for any scale s > 0.  The
+    f0 and f1 callables are for verification: f0 samples f again at the
+    radii it is given, except at the N_RADIAL Gauss-Legendre nodes of this
+    split (those of verify_pos and inner_product at the same resolution),
+    where it reuses the samples taken here.  Analysis and synthesis use the
+    map instead.
     """
     _check_dim(d)
     if n_samples < 2 * k_max + 1:
@@ -190,11 +191,20 @@ class SplitReport:
     boundary_residual: float
     origin_residual: float
     orthogonality_residual: float
+    scale: float    # max |f| on the verification mesh
 
     @property
     def worst(self) -> float:
         return max(self.sum_residual, self.boundary_residual,
                    self.origin_residual, self.orthogonality_residual)
+
+    @property
+    def relative(self) -> float:
+        """worst with the pointwise residuals divided by scale and the
+        orthogonality residual, an inner product, by scale squared."""
+        s = self.scale if self.scale > 0.0 else 1.0
+        return max(self.sum_residual / s, self.boundary_residual / s,
+                   self.origin_residual / s, self.orthogonality_residual / s / s)
 
 
 def verify_pos(pair: SplitPair) -> SplitReport:
@@ -203,8 +213,8 @@ def verify_pos(pair: SplitPair) -> SplitReport:
     grids = angular_grid(pair.d, 32)
     rq, _ = gauss_jacobi_01(N_RADIAL, 0.0, 0.0)
     mesh = np.meshgrid(rq, *grids, indexing="ij")
-    total = pair.f0(*mesh) + pair.f1(*mesh) - pair.f(*mesh)
-    sum_res = float(np.max(np.abs(total)))
+    f = pair.f(*mesh)
+    sum_res = float(np.max(np.abs(pair.f0(*mesh) + pair.f1(*mesh) - f)))
 
     bmesh = np.meshgrid(np.array([1.0]), *grids, indexing="ij")
     boundary = max(float(np.max(np.abs(pair.f0(*bmesh)))),
@@ -215,4 +225,5 @@ def verify_pos(pair: SplitPair) -> SplitReport:
     ortho = abs(inner_product(pair.f0, pair.f1, InnerProductKind.CARTESIAN,
                               resolution=N_RADIAL, d=pair.d))
     return SplitReport(sum_residual=sum_res, boundary_residual=boundary,
-                       origin_residual=origin, orthogonality_residual=float(ortho))
+                       origin_residual=origin, orthogonality_residual=float(ortho),
+                       scale=float(np.max(np.abs(f))))

@@ -11,6 +11,8 @@ from ballspec.basis import (
     InnerProductKind,
     PolarPoint,
     UsageError,
+    angular_dft,
+    angular_grid,
     ball_basis_eval,
     ball_radial,
     ex1_basis_eval,
@@ -162,3 +164,18 @@ def test_degree_sequence_rows_equal_single_degree_calls(family):
     for bad in (2.5, [], [1, -1]):
         with pytest.raises(ParameterError):
             radial(bad, r)
+
+
+def test_angular_dft_d4_keys_and_direct_sums():
+    k, n = 2, 7
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))
+    t1, t2, t3 = np.meshgrid(*angular_grid(4, n), indexing="ij")
+    for mean, weight in ((False, 2.0 * np.pi ** 3 / n ** 3), (True, 1.0 / n ** 3)):
+        coef = angular_dft(values, 4, k, mean=mean)
+        assert len(coef) == (2 * k + 1) ** 3
+        assert all(isinstance(mode, tuple) and len(mode) == 3 for mode in coef)
+        for mode, got in coef.items():
+            phase = np.exp(-1j * (mode[0] * t1 + 2.0 * mode[1] * t2 + 2.0 * mode[2] * t3))
+            want = weight * np.sum(values * phase, axis=(1, 2, 3))
+            assert np.max(np.abs(got - want)) < 1e-12

@@ -117,3 +117,11 @@ def test_parameter_error_exits_2(tmp_path, capsys):
 def test_pde_demo_with_chebyshev_oracle_rule(tmp_path):
     # alpha = beta = 1/2 needs the Gauss-Jacobi rule of (-1/2, -1/2)
     assert run_cli(tmp_path, "--example", "pde-demo", "--alpha", "0.5", "--beta", "0.5") == 0
+
+
+def test_overflowing_alpha_exits_2_with_one_line_message(tmp_path, capsys):
+    # Gamma(2 alpha + 2) leaves the double range between alpha = 84 and 85
+    assert run_cli(tmp_path, "--example", "pde-demo", "--alpha", "85", "--beta", "85") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "alpha = 85" in err

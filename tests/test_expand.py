@@ -1,5 +1,6 @@
 """Tests for coefficient analysis, synthesis, and the error metrics."""
 
+import dataclasses
 import json
 import os
 
@@ -11,6 +12,7 @@ from ballspec.basis import (
 )
 from ballspec.expand import (
     CoeffTensor,
+    analyze,
     analyze_ball3,
     analyze_disc,
     analyze_polar_weighted,
@@ -26,6 +28,7 @@ from ballspec.expand import (
     synthesize_polar_weighted,
     unflatten_index,
 )
+from ballspec import cli
 from ballspec.split import SplitPair, Template, make_pos, raw_pair
 
 
@@ -363,3 +366,31 @@ def test_degenerate_split_expands_the_modes_without_an_origin_value():
     coeffs = analyze_disc(pair, DISC_SPEC)
     assert not np.any(coeffs.fhat[:, 1 + 5])
     assert error_report(f, coeffs, M=6).e_inf < 1e-14
+
+
+def test_d4_standard_field_splits_and_expands_geometrically():
+    # the d=4 analogue of the standard field, at small (N, K)
+    f2, f4 = cli.test_field(2), cli.test_field(4)
+    pair = make_pos(f4, Template.LINEAR, d=4, k_max=2, n_samples=8)
+    c2 = make_pos(f2, Template.LINEAR).c
+    assert list(pair.c) == [(1, 1, 1)]
+    assert abs(pair.c[(1, 1, 1)] - c2[1]) <= 1e-12
+    errors = [error_report(f4, analyze(pair, BasisSpec(2.0, 2.0, d=4, N=N, K=1),
+                                       check=False)).e_inf for N in (4, 6, 8)]
+    assert all(e2 <= 1e-2 * e1 for e1, e2 in zip(errors, errors[1:]))
+    assert errors[-1] <= 1e-12
+
+
+def test_analyze_refuses_a_split_of_another_dimension():
+    with pytest.raises(UsageError, match="d=2 split"):
+        analyze(raw_pair(standard_field), BasisSpec(2.0, 2.0, d=3, N=3, K=2), check=False)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e4])
+def test_split_verification_is_relative_to_the_field_scale(s):
+    f = lambda r, th: s * standard_field(r, th)
+    pair = make_pos(f, Template.LINEAR)
+    analyze(pair, DISC_SPEC)
+    bent = dataclasses.replace(pair, f0=lambda r, th: pair.f0(r, th) + 1e-6 * f(r, th))
+    with pytest.raises(UsageError, match="fails verification"):
+        analyze(bent, DISC_SPEC)

@@ -10,7 +10,6 @@ from ballspec.semisep import (
     SemiSep2,
     contour_apply,
     default_contour,
-    from_dense,
     matvec,
     solve_shifted,
     to_dense,
@@ -63,26 +62,6 @@ def test_counted_matvec_is_linear_in_size():
     assert np.max(np.abs(y - d1.to_dense() @ x)) < 1e-12
 
 
-def test_from_dense_round_trip_unmasked():
-    rng = np.random.default_rng(7)
-    a = random_semisep(rng, 25)
-    rec = from_dense(to_dense(a), parity_mask=False)
-    assert np.max(np.abs(rec.to_dense() - to_dense(a))) < 1e-10
-
-
-def test_from_dense_round_trip_masked():
-    d = build_Dr(40, 2.0)
-    rec = from_dense(d.to_dense(), parity_mask=True)
-    assert np.max(np.abs(rec.to_dense() - d.to_dense())) < 1e-10
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(11)
-    a = random_semisep(rng, 12)
-    b = SemiSep2.from_json(a.to_json())
-    assert np.array_equal(b.to_dense(), a.to_dense())
-
-
 def test_solve_shifted_residual():
     d = build_Dr(30, 2.0)
     rng = np.random.default_rng(5)
@@ -120,3 +99,15 @@ def test_contour_rejects_non_enclosing_circle():
     tiny = ContourSpec(center=0.0, radius=1e-6, nodes=32)
     with pytest.raises(ContourError):
         contour_apply(np.exp, d, np.ones(13), tiny)
+
+
+def test_default_contour_takes_one_eigensolve(monkeypatch):
+    d = build_Dr(4, 2.0)
+    v = np.linspace(-1.0, 1.0, 5)
+    want = contour_apply(np.exp, d, v, default_contour(d))
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(1) or eigvals(m))
+    got = contour_apply(np.exp, d, v)
+    assert len(calls) == 1
+    assert np.array_equal(got, want)
