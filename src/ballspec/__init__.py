@@ -7,6 +7,7 @@ Schrodinger equations.
 """
 
 from .jacobi import (
+    BallspecError,
     JacobiParams,
     QuadRule,
     ParameterError,
@@ -42,7 +43,16 @@ from .diffmat import (
     compound_radial,
     compound_angular,
 )
-from .semisep import SemiSep2, ContourSpec, matvec, to_dense, solve_shifted, contour_apply
+from .semisep import (
+    SemiSep2,
+    ContourSpec,
+    SchurForm,
+    matvec,
+    to_dense,
+    schur_form,
+    solve_shifted,
+    contour_apply,
+)
 from .split import SplitPair, Template, make_pos, verify_pos, raw_pair
 from .expand import (
     CoeffTensor,

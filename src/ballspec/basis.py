@@ -24,6 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .jacobi import (
+    BallspecError,
     JacobiParams,
     ParameterError,
     gauss_jacobi_01,
@@ -44,7 +45,7 @@ class InnerProductKind(Enum):
     POLAR = "polar"          # disc measure r dr dtheta
 
 
-class UsageError(ValueError):
+class UsageError(BallspecError, ValueError):
     pass
 
 

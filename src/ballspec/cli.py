@@ -40,7 +40,7 @@ from .expand import (
     export_report_json,
     flatten_index,
 )
-from .jacobi import ParameterError
+from .jacobi import BallspecError
 from .pde import (
     PdeKind,
     abscissa_scan,
@@ -410,7 +410,7 @@ def main(argv=None) -> int:
     except AssertionFailure as exc:
         print(f"{config.example}: FAILED check '{exc}'")
         return 1
-    except (UsageError, ParameterError) as exc:
+    except BallspecError as exc:
         print(f"{config.example}: error: {exc}", file=sys.stderr)
         return 2
     print(f"{config.example}: all checks passed")

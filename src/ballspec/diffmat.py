@@ -54,7 +54,9 @@ def ab_coeffs(m_max: int, alpha: float) -> ABCoeffs:
     The closed forms
         a_m = sqrt(m! (2m+2a+1) / (2 Gamma(m+1+2a))),
         b_n = sqrt((2n+1+2a) Gamma(n+1+2a) / (2 n!))
-    are used to seed and (in tests) to cross-check the recursion.
+    are used to seed and (in tests) to cross-check the recursion.  A seed
+    or a b_m that overflows raises ParameterError; a_m = (m+a+1/2)/b_m then
+    stays a normal double too.
     """
     if alpha <= 0.0:
         raise ParameterError(
@@ -62,23 +64,23 @@ def ab_coeffs(m_max: int, alpha: float) -> ABCoeffs:
         )
     if m_max < 0:
         raise ParameterError("m_max must be nonnegative")
-    a = np.empty(m_max + 1)
-    b = np.empty(m_max + 1)
     try:
-        a[0] = sqrt((2.0 * alpha + 1.0) / (2.0 * exp(lgamma(2.0 * alpha + 1.0))))
-        b[0] = sqrt(exp(lgamma(2.0 * alpha + 2.0)) / 2.0)
+        a0 = sqrt((2.0 * alpha + 1.0) / (2.0 * exp(lgamma(2.0 * alpha + 1.0))))
+        b0 = sqrt(exp(lgamma(2.0 * alpha + 2.0)) / 2.0)
     except OverflowError:
         raise ParameterError(
             f"alpha = {alpha} is too large: Gamma(2 alpha + 2) overflows the double range"
         ) from None
-    for m in range(1, m_max + 1):
-        a[m] = a[m - 1] * sqrt(
-            m * (2.0 * m + 2.0 * alpha + 1.0)
-            / ((m + 2.0 * alpha) * (2.0 * m + 2.0 * alpha - 1.0))
-        )
-        b[m] = b[m - 1] * sqrt(
-            (2.0 * m + 1.0 + 2.0 * alpha) * (m + 2.0 * alpha)
-            / (m * (2.0 * m + 2.0 * alpha - 1.0))
+    m = np.arange(1.0, m_max + 1.0)
+    step_a = m * (2.0 * m + 2.0 * alpha + 1.0) / ((m + 2.0 * alpha) * (2.0 * m + 2.0 * alpha - 1.0))
+    step_b = (2.0 * m + 1.0 + 2.0 * alpha) * (m + 2.0 * alpha) / (m * (2.0 * m + 2.0 * alpha - 1.0))
+    # cumprod multiplies left to right, exactly as the scalar recursion did
+    with np.errstate(over="ignore"):
+        a = np.cumprod(np.concatenate(([a0], np.sqrt(step_a))))
+        b = np.cumprod(np.concatenate(([b0], np.sqrt(step_b))))
+    if not np.isfinite(b[-1]):  # b increases with m
+        raise ParameterError(
+            f"alpha = {alpha} with m_max = {m_max} is too large: b_m overflows the double range"
         )
     return ABCoeffs(a=a, b=b, alpha=alpha)
 

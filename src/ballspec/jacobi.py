@@ -13,8 +13,16 @@ from math import lgamma, exp
 import numpy as np
 
 
-class ParameterError(ValueError):
+class BallspecError(Exception):
+    """Base of every error the package raises on purpose."""
+
+
+class ParameterError(BallspecError, ValueError):
     """Invalid Jacobi parameters or degrees."""
+
+
+class QuadratureError(BallspecError, FloatingPointError):
+    """A Gauss-Jacobi rule that fails its own weight certificate."""
 
 
 @dataclass(frozen=True)
@@ -175,10 +183,10 @@ def gauss_jacobi(nquad: int, params: JacobiParams) -> QuadRule:
     nodes = nodes[order]
     weights = scale * vecs[0, order] ** 2
     if np.any(weights <= 0.0) or np.any(~np.isfinite(nodes)):
-        raise FloatingPointError("Gauss-Jacobi node solve failed: nonpositive weights")
+        raise QuadratureError("Gauss-Jacobi node solve failed: nonpositive weights")
     total = weights.sum()
     if abs(total - scale) > 1e-12 * scale:
-        raise FloatingPointError(
+        raise QuadratureError(
             f"Gauss-Jacobi weight sum off by {abs(total - scale) / scale:.3e} relative"
         )
     return QuadRule(nodes=nodes, weights=weights, params=params)

@@ -7,6 +7,12 @@ u v^T, each of rank at most 2, plus a diagonal.  An optional parity mask
 zeroes every entry with even row+column sum; masked instances carry rank-1
 generators so that every off-diagonal block of the materialised matrix
 still has rank at most 2.
+
+Shifted solves take a SemiSep2, a dense array or a SchurForm A = Z T Z^H.
+contour_apply factors A once into a SchurForm, so each contour node costs
+O(n^2) triangular solves (one, plus one refinement step) instead of an
+O(n^3) LU; every solve is still certified by its residual against the
+dense A, never against T.
 """
 
 from __future__ import annotations
@@ -16,18 +22,20 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .jacobi import BallspecError
 
-class SizeMismatchError(ValueError):
+
+class SizeMismatchError(BallspecError, ValueError):
     pass
 
 
-class SolveError(RuntimeError):
+class SolveError(BallspecError, RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
 
 
-class ContourError(RuntimeError):
+class ContourError(BallspecError, RuntimeError):
     pass
 
 
@@ -178,25 +186,70 @@ def to_dense(a: SemiSep2):
     return a.to_dense()
 
 
+@dataclass(frozen=True)
+class SchurForm:
+    """Complex Schur form A = Z T Z^H of a dense matrix, kept next to A."""
+
+    dense: np.ndarray
+    t: np.ndarray
+    z: np.ndarray
+
+
+def _dense(a) -> np.ndarray:
+    """The dense matrix of a SemiSep2, a SchurForm or an array."""
+    if isinstance(a, SchurForm):
+        return a.dense
+    return a.to_dense() if isinstance(a, SemiSep2) else np.asarray(a)
+
+
+def schur_form(a) -> SchurForm:
+    """One complex Schur factorisation of a SemiSep2 or dense matrix."""
+    # the same values; a complex A is applied to complex iterates without a cast
+    dense = _dense(a).astype(complex)
+    t, z = scipy.linalg.schur(dense, output="complex")
+    return SchurForm(dense=dense, t=t, z=z)
+
+
+def _schur_solve(form: SchurForm, lam: complex, rhs: np.ndarray) -> np.ndarray:
+    """(lam*I - A)^{-1} rhs through A = Z T Z^H, refined once against the dense A."""
+    shifted = form.t.copy(order="F")
+    np.fill_diagonal(shifted, form.t.diagonal() - lam)  # T - lam*I
+
+    def apply(b):  # (lam*I - Z T Z^H)^{-1} b = -Z (T - lam*I)^{-1} Z^H b
+        zh_b = (b.conj() @ form.z).conj()  # Z^H b without copying Z^H
+        y = scipy.linalg.solve_triangular(shifted, zh_b, check_finite=False)
+        return -(form.z @ y)
+
+    x = apply(rhs)
+    # The Schur form's own backward error is the same at every node, so it
+    # does not average out over the contour; one refinement step removes it.
+    return x + apply(rhs - (lam * x - form.dense @ x))
+
+
 def solve_shifted(a, lam: complex, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Solve (lam*I - A) x = rhs with a post-solve residual certificate.
 
-    Desk-scale certified path: dense factorisation.  A may be a SemiSep2 or a
-    dense array.
+    A may be a SemiSep2 or a dense array (one O(n^3) dense LU per call), or
+    a SchurForm (O(n^2): triangular solves with T - lam*I and one step of
+    iterative refinement).  Either way ||(lam*I - A) x - rhs|| <= tol ||rhs||
+    is checked against the dense A, never against T, and a singular shift or
+    a failed certificate raises SolveError.
     """
-    dense = a.to_dense() if isinstance(a, SemiSep2) else np.asarray(a)
+    dense = _dense(a)
     n = dense.shape[0]
     rhs = np.asarray(rhs)
     if rhs.shape != (n,):
         raise SizeMismatchError(f"rhs length {rhs.shape} != {n}")
-    mat = lam * np.eye(n) - dense
     try:
-        x = scipy.linalg.solve(mat, rhs)
+        if isinstance(a, SchurForm):
+            x = _schur_solve(a, lam, rhs)
+        else:
+            x = scipy.linalg.solve(lam * np.eye(n) - dense, rhs)
     except scipy.linalg.LinAlgError as exc:
         raise SolveError(f"shift {lam} is singular: {exc}") from exc
-    res = np.linalg.norm(mat @ x - rhs)
+    res = np.linalg.norm(lam * x - dense @ x - rhs)
     scale = max(np.linalg.norm(rhs), 1e-300)
-    if res > tol * scale:
+    if not res <= tol * scale:
         raise SolveError(f"shifted solve residual {res:.3e} exceeds tolerance", residual=res)
     return x
 
@@ -224,13 +277,13 @@ class ContourSpec:
 
 
 def spectral_radius_estimate(a) -> float:
-    dense = a.to_dense() if isinstance(a, SemiSep2) else np.asarray(a)
+    dense = _dense(a)
     return float(np.max(np.abs(np.linalg.eigvals(dense)))) if dense.size else 0.0
 
 
 def default_contour(a) -> ContourSpec:
     """Circle centred at the eigenvalue centroid, CONTOUR_MARGIN times its spread."""
-    dense = a.to_dense() if isinstance(a, SemiSep2) else np.asarray(a)
+    dense = _dense(a)
     if dense.size == 0:
         return ContourSpec(center=0.0, radius=1e-8)
     eig = np.linalg.eigvals(dense)
@@ -244,30 +297,34 @@ def contour_apply(g, a, v: np.ndarray, spec: ContourSpec | None = None) -> np.nd
 
     Trapezoidal rule on a circle enclosing the spectrum; the node count is
     doubled until two successive results agree to CONTOUR_TOL (relative to
-    ||v||), up to CONTOUR_MAX_NODES nodes.
+    ||v||), up to CONTOUR_MAX_NODES nodes.  A is Schur-factored once, and
+    each doubling solves only at its new (odd-indexed) nodes: the 2n-th
+    roots of unity contain the n-th ones, so the node sum carries over.
     """
     v = np.asarray(v, dtype=complex)
+    dense = _dense(a)
     if spec is None:
         # encloses the spectrum by construction: |lam| <= |c| + spread < |c| + radius
-        spec = default_contour(a)
+        spec = default_contour(dense)
     else:
-        rho = spectral_radius_estimate(a)
+        rho = spectral_radius_estimate(dense)
         if rho > abs(spec.center) + spec.radius:
             raise ContourError(
                 f"spectral radius {rho:.3e} not enclosed by contour of radius {spec.radius:.3e}"
             )
+    form = schur_form(dense)
     scale = max(np.linalg.norm(v), 1e-300)
+    total = np.zeros_like(v)
     prev = None
-    nodes = spec.nodes
+    nodes, new = spec.nodes, np.arange(spec.nodes)
     while nodes <= CONTOUR_MAX_NODES:
-        phis = 2.0 * np.pi * np.arange(nodes) / nodes
-        lams = spec.center + spec.radius * np.exp(1j * phis)
-        acc = np.zeros_like(v)
+        lams = spec.center + spec.radius * np.exp(1j * (2.0 * np.pi * new / nodes))
         for lam in lams:
-            acc += g(lam) * (lam - spec.center) * solve_shifted(a, lam, v, tol=1e-8)
-        acc /= nodes
+            total += g(lam) * (lam - spec.center) * solve_shifted(form, lam, v, tol=1e-8)
+        acc = total / nodes
         if prev is not None and np.linalg.norm(acc - prev) <= CONTOUR_TOL * scale:
             return acc
         prev = acc
         nodes *= 2
+        new = np.arange(1, nodes, 2)
     raise ContourError(f"contour quadrature did not converge within {CONTOUR_MAX_NODES} nodes")

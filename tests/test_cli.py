@@ -6,15 +6,20 @@ import os
 import numpy as np
 import pytest
 
+from ballspec import BallspecError
+from ballspec.basis import UsageError
 from ballspec.cli import (
     DEFAULTS,
     EXAMPLES,
+    RUNNERS,
     ErrorReport,
     build_parser,
     config_from_args,
     emit_report,
     main,
 )
+from ballspec.jacobi import ParameterError, QuadratureError
+from ballspec.semisep import ContourError, SizeMismatchError, SolveError
 
 
 def run_cli(tmp_path, *argv):
@@ -125,3 +130,26 @@ def test_overflowing_alpha_exits_2_with_one_line_message(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "alpha = 85" in err
+
+
+@pytest.mark.parametrize("error, parent", [
+    (ParameterError, ValueError),
+    (UsageError, ValueError),
+    (SizeMismatchError, ValueError),
+    (SolveError, RuntimeError),
+    (ContourError, RuntimeError),
+    (QuadratureError, FloatingPointError),
+])
+def test_every_error_shares_one_base_and_keeps_its_parent(error, parent):
+    assert issubclass(error, BallspecError) and issubclass(error, parent)
+
+
+@pytest.mark.parametrize("error", [SolveError("shift 1 is singular"), ContourError("no convergence")])
+def test_solver_errors_exit_2_with_one_line_message(tmp_path, capsys, monkeypatch, error):
+    def runner(config):
+        raise error
+    monkeypatch.setitem(RUNNERS, "ex5", runner)
+    assert run_cli(tmp_path, "--example", "ex5") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(error) in err

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from ballspec.basis import BasisSpec, UsageError, ex1_radial, wfunc_radial
+from ballspec.jacobi import ParameterError
 from ballspec.diffmat import (
     RADIAL_SCALE,
     ABCoeffs,
@@ -40,6 +41,20 @@ def test_ab_recursion_matches_closed_form():
         closed = ab_coeffs_closed(30, alpha)
         assert np.max(np.abs(rec.a - closed.a) / np.abs(closed.a)) < 1e-12
         assert np.max(np.abs(rec.b - closed.b) / np.abs(closed.b)) < 1e-12
+
+
+def test_ab_coeffs_refuses_sequences_that_leave_the_double_range():
+    # b_m grows like m^alpha: at alpha = 84 it passes 1.8e308 before m = 20000
+    with pytest.raises(ParameterError, match="alpha = 84.0 with m_max = 20000 .* b_m overflows"):
+        ab_coeffs(20000, 84.0)
+
+
+def test_ab_coeffs_near_the_range_limit_matches_closed_form():
+    rec = ab_coeffs(2000, 84.0)
+    closed = ab_coeffs_closed(2000, 84.0)
+    assert np.all(np.isfinite(rec.b)) and rec.b[-1] > 1e280
+    assert np.max(np.abs(rec.a - closed.a) / closed.a) < 1e-10
+    assert np.max(np.abs(rec.b - closed.b) / closed.b) < 1e-10
 
 
 def test_build_Dr_exact_skew_symmetry():

@@ -18,6 +18,7 @@ from ballspec.expand import (
     standard_grid,
     synthesize,
 )
+from ballspec.semisep import SemiSep2
 from ballspec.split import make_pos, raw_pair, verify_pos
 
 even = st.sampled_from([2.0, 4.0, 6.0, 8.0])
@@ -79,3 +80,18 @@ def test_splitting_refuses_other_dimensions(d):
         make_pos(field, d=d)
     with pytest.raises(UsageError, match="d >= 2"):
         verify_pos(raw_pair(field, d=d))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40), rank=st.sampled_from([1, 2]),
+       masked=st.booleans(), complex_x=st.booleans())
+def test_semisep_matvec_equals_dense_matvec(seed, size, rank, masked, complex_x):
+    rng = np.random.default_rng(seed)
+    rank = 1 if masked else rank  # masked instances carry rank-1 generators
+    gen = lambda: rng.standard_normal((rank, size))
+    a = SemiSep2(size=size, p=gen(), q=gen(), u=gen(), v=gen(),
+                 diag=rng.standard_normal(size), parity_mask=masked)
+    x = rng.standard_normal(size) + (1j * rng.standard_normal(size) if complex_x else 0.0)
+    dense = a.to_dense()
+    bound = 1e-13 * (1.0 + np.abs(dense) @ np.abs(x))
+    assert np.all(np.abs(a.matvec(x) - dense @ x) <= bound)

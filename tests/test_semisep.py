@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import ballspec.semisep as semisep
 from ballspec.semisep import (
+    CONTOUR_TOL,
     ContourError,
     ContourSpec,
     SemiSep2,
+    SolveError,
     contour_apply,
     default_contour,
     matvec,
+    schur_form,
     solve_shifted,
     to_dense,
 )
@@ -111,3 +115,77 @@ def test_default_contour_takes_one_eigensolve(monkeypatch):
     got = contour_apply(np.exp, d, v)
     assert len(calls) == 1
     assert np.array_equal(got, want)
+
+
+def non_normal_semisep(seed, n=24, norm=2.0):
+    """A random unmasked rank-2 SemiSep2 scaled to spectral norm ``norm``."""
+    a = random_semisep(np.random.default_rng(seed), n)
+    s = norm / np.linalg.norm(a.to_dense(), 2)
+    return SemiSep2(size=n, p=a.p * s, q=a.q, u=a.u * s, v=a.v, diag=a.diag * s)
+
+
+def test_schur_solve_matches_dense_solve():
+    worst = 0.0
+    for a in (non_normal_semisep(11), build_Dr(30, 2.0)):
+        form = schur_form(a)
+        rng = np.random.default_rng(6)
+        for lam in (0.7 + 0.4j, -3.0 + 0.0j, 0.05 - 2.5j):
+            b = rng.standard_normal(a.size) + 1j * rng.standard_normal(a.size)
+            dense = solve_shifted(a, lam, b)
+            worst = max(worst, np.max(np.abs(solve_shifted(form, lam, b) - dense))
+                        / np.max(np.abs(dense)))
+    assert worst < 1e-12
+
+
+def test_exactly_singular_shift_raises_solve_error():
+    a = np.diag([1.0, 2.0, 3.0])
+    for op in (a, schur_form(a)):
+        with pytest.raises(SolveError, match="singular"):
+            solve_shifted(op, 2.0, np.ones(3))
+    # a shift on the diagonal of T makes T - lam*I exactly singular
+    form = schur_form(non_normal_semisep(12))
+    with pytest.raises(SolveError, match="singular"):
+        solve_shifted(form, form.t[3, 3], np.ones(24))
+
+
+def test_contour_on_non_normal_rank2_operator_matches_expm():
+    worst = 0.0
+    for seed in (13, 14, 15):
+        a = non_normal_semisep(seed)
+        v = np.random.default_rng(seed).standard_normal(a.size)
+        ref = scipy.linalg.expm(a.to_dense()) @ v
+        worst = max(worst, np.max(np.abs(contour_apply(np.exp, a, v) - ref)))
+    assert worst < 1e-9
+
+
+def converged_node_count(a, v, spec):
+    """Node count at which the full trapezoidal sums first agree, by dense solves."""
+    dense = a.to_dense()
+    nodes, prev = spec.nodes, None
+    while True:
+        lams = spec.center + spec.radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        acc = sum(np.exp(lam) * (lam - spec.center)
+                  * np.linalg.solve(lam * np.eye(a.size) - dense, v) for lam in lams) / nodes
+        if prev is not None and np.linalg.norm(acc - prev) <= CONTOUR_TOL * np.linalg.norm(v):
+            return nodes
+        nodes, prev = 2 * nodes, acc
+
+
+def test_contour_factors_once_and_solves_once_per_node(monkeypatch):
+    a = non_normal_semisep(16)
+    v = np.linspace(-1.0, 1.0, a.size)
+    want = converged_node_count(a, v, default_contour(a))
+    calls = {"schur": 0, "solve": 0, "solve_shifted": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
+    monkeypatch.setattr(scipy.linalg, "solve", counted("solve", scipy.linalg.solve))
+    monkeypatch.setattr(semisep, "solve_shifted", counted("solve_shifted", semisep.solve_shifted))
+    contour_apply(np.exp, a, v)
+    assert calls == {"schur": 1, "solve": 0, "solve_shifted": want}
+    assert want > ContourSpec().nodes
