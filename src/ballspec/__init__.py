@@ -53,7 +53,7 @@ from .semisep import (
     solve_shifted,
     contour_apply,
 )
-from .split import SplitPair, Template, make_pos, verify_pos, raw_pair
+from .split import SplitPair, Template, check_split, make_pos, verify_pos, raw_pair
 from .expand import (
     CoeffTensor,
     ErrorReport,

@@ -243,23 +243,61 @@ def ball_phase(mode, theta):
     return np.exp(1j * arg)
 
 
+def _distinct(a: np.ndarray, bits: bool = False):
+    """(u, idx, axis): np.unique(a.ravel(), return_inverse=True), with idx
+    shaped to broadcast against a.
+
+    bits=True tells values apart by their bit patterns.  When a is constant,
+    bit for bit, along every axis but one (a meshgrid coordinate), only its
+    line along that axis is sorted, and axis names it; otherwise axis is
+    None and every entry is sorted.
+    """
+    src, axis = a, None
+    pattern = a.view(np.int64)
+    for ax in range(a.ndim):
+        cut = tuple(slice(None) if i == ax else slice(0, 1) for i in range(a.ndim))
+        if (pattern == pattern[cut]).all():
+            src, axis = a[cut], ax
+            break
+    u, idx = np.unique((src.view(np.int64) if bits else src).ravel(), return_inverse=True)
+    return (u.view(a.dtype) if bits else u), idx.reshape(src.shape), axis
+
+
+def distinct_radii(r: np.ndarray):
+    """np.unique(r.ravel(), return_inverse=True) for a float array r; a
+    tensor-mesh coordinate is sorted along its line, not point by point."""
+    ru, idx, _ = _distinct(r)
+    return ru, np.broadcast_to(idx, r.shape).ravel()
+
+
 def distinct_phase(thetas):
     """mode -> ball_phase(mode, thetas) on the broadcast mesh of the angle arrays.
 
     The exponential is taken once per distinct angle tuple and gathered back
     onto the mesh, so a tensor grid costs one exp per angle, not per point.
     Tuples are told apart by their bit patterns, so each entry equals the
-    full-mesh phase bit for bit.
+    full-mesh phase bit for bit.  When each angle array is a tensor-mesh
+    coordinate of its own axis, every combination of the axes' distinct
+    angles occurs, so the tuples are found without sorting the mesh.
     """
     arrays = np.broadcast_arrays(*thetas)
-    mesh = [t.ravel() for t in arrays]
-    key = np.zeros(mesh[0].size, dtype=np.int64)
-    for t in mesh:
-        _, idx = np.unique(t.view(np.int64), return_inverse=True)
-        key = key * (int(idx.max(initial=0)) + 1) + idx
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    distinct = [t[first] for t in mesh]
-    inv = inv.reshape(arrays[0].shape)
+    shape = arrays[0].shape
+    key, uniques, axes = 0, [], set()
+    for t in arrays:
+        u, idx, axis = _distinct(t, bits=True)
+        key = key * u.size + idx
+        uniques.append(u)
+        axes.add(axis)
+    if None not in axes and len(axes) == len(arrays):
+        # key (i1, i2, ...) = i1 n2 n3 ... + i2 n3 ... + ...: every key occurs
+        digits = np.meshgrid(*[np.arange(u.size) for u in uniques], indexing="ij")
+        distinct = [u[k.ravel()] for u, k in zip(uniques, digits)]
+        inv = np.broadcast_to(key, shape)
+    else:
+        _, first, inv = np.unique(np.broadcast_to(key, shape).ravel(),
+                                  return_index=True, return_inverse=True)
+        distinct = [t.ravel()[first] for t in arrays]
+        inv = inv.reshape(shape)
     return lambda mode: ball_phase(mode, distinct)[inv]
 
 
@@ -267,9 +305,12 @@ def distinct_phase(thetas):
 
 def inner_product(f, g, kind: InnerProductKind = InnerProductKind.CARTESIAN,
                   resolution: int = 48, d: int = 2) -> complex:
-    """Quadrature inner product of two callables over the coordinate box.
+    """Quadrature inner product of two fields over the coordinate box.
 
-    Fields are callables f(r, *theta).  Angular directions use equispaced
+    Fields are callables f(r, *theta), or arrays of their samples on the
+    mesh of the rule: the resolution Gauss-Legendre radii of
+    gauss_jacobi_01(resolution, 0, 0) times angular_grid(d, resolution),
+    indexing "ij".  Angular directions use equispaced
     (trapezoidal) sampling, exact for trigonometric integrands of bandwidth
     below the resolution; the radial direction uses Gauss-Legendre.
     """
@@ -280,8 +321,13 @@ def inner_product(f, g, kind: InnerProductKind = InnerProductKind.CARTESIAN,
     r, w = gauss_jacobi_01(resolution, 0.0, 0.0)
     if kind is InnerProductKind.POLAR:
         w = w * r
-    mesh = np.meshgrid(r, *angular_grid(d, resolution), indexing="ij")
-    vals = f(*mesh) * np.conj(g(*mesh))
+    if callable(f) or callable(g):
+        mesh = np.meshgrid(r, *angular_grid(d, resolution), indexing="ij")
+        f, g = (h(*mesh) if callable(h) else h for h in (f, g))
+    # np.multiply keeps the operand order f * conj(g): with a temporary right
+    # operand, `*` may reuse its buffer and swap the operands, and a fused
+    # complex product is not bit-for-bit commutative
+    vals = np.multiply(f, np.conj(g))
     for _ in range(d - 1):
         vals = vals.sum(axis=-1)
     total = np.dot(w, vals)

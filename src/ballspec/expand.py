@@ -27,11 +27,12 @@ from .basis import (
     angular_grid,
     angular_modes,
     distinct_phase,
+    distinct_radii,
     ex1_radial,
     wfunc_radial,
 )
 from .jacobi import JacobiParams, gauss_jacobi_01, orthonormal_all
-from .split import SplitPair, raw_pair, verify_pos
+from .split import SplitPair, check_split, raw_pair
 
 
 def quad_pad() -> int:
@@ -75,14 +76,6 @@ def unflatten_index(q: int, spec: BasisSpec):
     return q // width, q % width - spec.K
 
 
-def _check_pair(pair: SplitPair, check: bool, tol: float = 1e-8):
-    if not check:
-        return
-    worst = verify_pos(pair).relative
-    if worst > tol:
-        raise UsageError(f"split pair fails verification with relative residual {worst:.3e}")
-
-
 def _analyze(pair: SplitPair, spec: BasisSpec, weight, table, scale) -> np.ndarray:
     """fhat[:, mode] = scale * (table(r) @ (w * F_mode(r))) over the flat modes.
 
@@ -104,12 +97,17 @@ def _analyze(pair: SplitPair, spec: BasisSpec, weight, table, scale) -> np.ndarr
 
 def analyze(pair: SplitPair, spec: BasisSpec, check: bool = True) -> CoeffTensor:
     """Expansion coefficients of the residual part over the weighted basis of
-    the spec's dimension d >= 2 (a (d-1)-D FFT and one radial rule)."""
+    the spec's dimension d >= 2 (a (d-1)-D FFT and one radial rule).
+
+    check=True verifies the split first (check_split: relative residual at
+    most 1e-8); pass check=False for a pair verified already.
+    """
     if spec.kind is not BasisKind.WFUNC:
         raise UsageError(f"analysis needs a weighted basis spec, got {spec.kind.value}")
     if pair.d != spec.d:
         raise UsageError(f"a d={pair.d} split cannot be expanded in a d={spec.d} basis")
-    _check_pair(pair, check)
+    if check:
+        check_split(pair)
     a, b = spec.alpha, spec.beta
     fhat = _analyze(pair, spec, (0.5 * a, 0.5 * b),
                     lambda r: orthonormal_all(spec.N, JacobiParams(a, b), 2.0 * r - 1.0),
@@ -152,7 +150,7 @@ def _synthesize(coeffs: CoeffTensor, r, thetas) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     thetas = [np.asarray(t, dtype=float) for t in thetas]
     out = np.zeros(np.broadcast(r, *thetas).shape, dtype=complex)
-    ru, inv = np.unique(np.atleast_1d(r).ravel(), return_inverse=True)
+    ru, inv = distinct_radii(np.atleast_1d(r))
     rad, scale = _radial_family(spec, ru)
     # mode -> radial profile at the distinct radii; a split mode is g T + f1 / (1 + c)
     cols = coeffs.fhat.reshape(spec.N + 1, -1).T

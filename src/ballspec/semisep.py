@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .jacobi import BallspecError
+from .jacobi import BallspecError, ParameterError
 
 
 class SizeMismatchError(BallspecError, ValueError):
@@ -270,20 +270,28 @@ class ContourSpec:
     nodes: int = 32
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("contour radius must be positive")
+        if not self.radius > 0.0:
+            raise ParameterError(f"contour radius must be positive, got {self.radius}")
         if self.nodes < 8:
-            raise ValueError("need at least 8 contour nodes")
+            raise ParameterError(f"need at least 8 contour nodes, got {self.nodes}")
+
+
+def _finite_dense(a) -> np.ndarray:
+    """_dense(a), refused with ParameterError unless every entry is finite."""
+    dense = _dense(a)
+    if not np.all(np.isfinite(dense)):
+        raise ParameterError("matrix has non-finite entries")
+    return dense
 
 
 def spectral_radius_estimate(a) -> float:
-    dense = _dense(a)
+    dense = _finite_dense(a)
     return float(np.max(np.abs(np.linalg.eigvals(dense)))) if dense.size else 0.0
 
 
 def default_contour(a) -> ContourSpec:
     """Circle centred at the eigenvalue centroid, CONTOUR_MARGIN times its spread."""
-    dense = _dense(a)
+    dense = _finite_dense(a)
     if dense.size == 0:
         return ContourSpec(center=0.0, radius=1e-8)
     eig = np.linalg.eigvals(dense)
@@ -300,6 +308,8 @@ def contour_apply(g, a, v: np.ndarray, spec: ContourSpec | None = None) -> np.nd
     ||v||), up to CONTOUR_MAX_NODES nodes.  A is Schur-factored once, and
     each doubling solves only at its new (odd-indexed) nodes: the 2n-th
     roots of unity contain the n-th ones, so the node sum carries over.
+    A matrix with a non-finite entry raises ParameterError before the
+    eigensolve that places or checks the contour.
     """
     v = np.asarray(v, dtype=complex)
     dense = _dense(a)

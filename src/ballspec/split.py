@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import (InnerProductKind, UsageError, angular_dft, angular_grid, distinct_phase,
-                    inner_product)
+                    distinct_radii, inner_product)
 from .jacobi import gauss_jacobi_01
 
 #: Gauss-Legendre radii of make_pos's Gram-Schmidt step and of verify_pos.
@@ -50,21 +50,26 @@ def template_profile(template: Template, custom=None):
 
 @dataclass
 class SplitPair:
-    """Result of the splitting; f0 + f1 reproduces f pointwise.
+    """Result of the splitting: the field f and its affine part f0.
 
-    Per split mode m the parts are f0_m = g_m T - c_m/(1 + c_m) f1_m and
-    f1_m = (1 + c_m)(f_m - g_m T), with g = origin_coeffs and T = profile,
-    so (g, c, T) and the coefficients of f1 determine the expansion.
+    The residual f1 = f - f0 is derived, not stored, so f0 + f1 reproduces f
+    for every pair.  Per split mode m the parts are
+    f0_m = g_m T - c_m/(1 + c_m) f1_m and f1_m = (1 + c_m)(f_m - g_m T), with
+    g = origin_coeffs and T = profile, so (g, c, T) and the coefficients of
+    f1 determine the expansion.
     """
 
     f: object
     f0: object
-    f1: object
     c: dict
     origin_coeffs: dict
     profile: object       # radial template T of the affine part
     d: int = 2
     degenerate: bool = False
+
+    def f1(self, r, *thetas):
+        """The residual part f - f0 at the given points."""
+        return self.f(r, *thetas) - self.f0(r, *thetas)
 
     def residual_coeffs(self, F: dict, r, measure: float) -> dict:
         """Angular integrals of f1 at the radii r from those of f (mode -> F(r)).
@@ -112,11 +117,11 @@ def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
     2*k_max + 1; f is sampled on n_samples^(d-1) angles per radius.  The
     split is a per-mode affine map (see SplitPair); its thresholds are
     relative to the field, so s*f splits like f for any scale s > 0.  The
-    f0 and f1 callables are for verification: f0 samples f again at the
-    radii it is given, except at the N_RADIAL Gauss-Legendre nodes of this
-    split (those of verify_pos and inner_product at the same resolution),
-    where it reuses the samples taken here.  Analysis and synthesis use the
-    map instead.
+    f0 callable, and f1 = f - f0 derived from it, are for verification: f0
+    samples f again at the radii it is given, except at the N_RADIAL
+    Gauss-Legendre nodes of this split (those of verify_pos's body and
+    orthogonality meshes), where it reuses the samples taken here.  Analysis
+    and synthesis use the map instead.  A degenerate split has f0 = f.
     """
     _check_dim(d)
     if n_samples < 2 * k_max + 1:
@@ -151,8 +156,7 @@ def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
             return out
         needed = {m for m in modes if c[m] != 0.0}
         # mode profiles are functions of r only; evaluate once per unique radius
-        flat_r = np.atleast_1d(r).ravel()
-        ru, inv = np.unique(flat_r, return_inverse=True)
+        ru, inv = distinct_radii(np.atleast_1d(r))
         if np.array_equal(ru, rq):
             # the same samples make_pos took: reuse them instead of re-sampling f
             resid_u = {m: resid_at_nodes[m] for m in needed}
@@ -166,14 +170,8 @@ def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
             out = out + prof_u[inv].reshape(r.shape) * phase(m)
         return out
 
-    def f1(r, *thetas):
-        return f(r, *thetas) - f0(r, *thetas)
-
-    if degenerate:
-        return SplitPair(f=f, f0=f, f1=_zero, c=c, origin_coeffs=g, profile=T, d=d,
-                         degenerate=True)
-
-    return SplitPair(f=f, f0=f0, f1=f1, c=c, origin_coeffs=g, profile=T, d=d)
+    return SplitPair(f=f, f0=f if degenerate else f0, c=c, origin_coeffs=g, profile=T, d=d,
+                     degenerate=degenerate)
 
 
 def raw_pair(f, d: int = 2) -> SplitPair:
@@ -182,7 +180,7 @@ def raw_pair(f, d: int = 2) -> SplitPair:
     Not an orthogonal splitting unless f(0, .) = 0; use with verification
     disabled.
     """
-    return SplitPair(f=f, f0=_zero, f1=f, c={}, origin_coeffs={}, profile=None, d=d)
+    return SplitPair(f=f, f0=_zero, c={}, origin_coeffs={}, profile=None, d=d)
 
 
 @dataclass
@@ -208,22 +206,43 @@ class SplitReport:
 
 
 def verify_pos(pair: SplitPair) -> SplitReport:
-    """Numerical residuals of the three splitting conditions plus the sum."""
+    """Numerical residuals of the three splitting conditions plus the sum.
+
+    Four meshes, each sampling pair.f and pair.f0 once, with f1 their
+    difference: the body (the N_RADIAL Gauss-Legendre radii times 32 angles
+    per axis; sum residual and scale), the orthogonality mesh (the same
+    radii times N_RADIAL angles per axis, inner_product's rule), r = 1 and
+    r = 0 (times 32 angles per axis).
+    """
     _check_dim(pair.d)
     grids = angular_grid(pair.d, 32)
     rq, _ = gauss_jacobi_01(N_RADIAL, 0.0, 0.0)
-    mesh = np.meshgrid(rq, *grids, indexing="ij")
-    f = pair.f(*mesh)
-    sum_res = float(np.max(np.abs(pair.f0(*mesh) + pair.f1(*mesh) - f)))
 
-    bmesh = np.meshgrid(np.array([1.0]), *grids, indexing="ij")
-    boundary = max(float(np.max(np.abs(pair.f0(*bmesh)))),
-                   float(np.max(np.abs(pair.f1(*bmesh)))))
-    omesh = np.meshgrid(np.array([0.0]), *grids, indexing="ij")
-    origin = max(float(np.max(np.abs(pair.f1(*omesh)))),
-                 float(np.max(np.abs(pair.f0(*omesh) - pair.f(*omesh)))))
-    ortho = abs(inner_product(pair.f0, pair.f1, InnerProductKind.CARTESIAN,
-                              resolution=N_RADIAL, d=pair.d))
+    def sample(mesh):
+        f = pair.f(*mesh)
+        f0 = pair.f0(*mesh)
+        return f, f0, f - f0
+
+    f, f0, f1 = sample(np.meshgrid(rq, *grids, indexing="ij"))
+    sum_res = float(np.max(np.abs(f0 + f1 - f)))
+    scale = float(np.max(np.abs(f)))
+    _, b0, b1 = sample(np.meshgrid(np.array([1.0]), *grids, indexing="ij"))
+    boundary = max(float(np.max(np.abs(b0))), float(np.max(np.abs(b1))))
+    o, o0, o1 = sample(np.meshgrid(np.array([0.0]), *grids, indexing="ij"))
+    origin = max(float(np.max(np.abs(o1))), float(np.max(np.abs(o0 - o))))
+    _, q0, q1 = sample(np.meshgrid(rq, *angular_grid(pair.d, N_RADIAL), indexing="ij"))
+    ortho = abs(inner_product(q0, q1, InnerProductKind.CARTESIAN, resolution=N_RADIAL,
+                              d=pair.d))
     return SplitReport(sum_residual=sum_res, boundary_residual=boundary,
                        origin_residual=origin, orthogonality_residual=float(ortho),
-                       scale=float(np.max(np.abs(f))))
+                       scale=scale)
+
+
+def check_split(pair: SplitPair, tol: float = 1e-8) -> SplitReport:
+    """verify_pos(pair), refused with UsageError when its relative residual
+    exceeds tol."""
+    report = verify_pos(pair)
+    if report.relative > tol:
+        raise UsageError(
+            f"split pair fails verification with relative residual {report.relative:.3e}")
+    return report

@@ -153,3 +153,12 @@ def test_solver_errors_exit_2_with_one_line_message(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert str(error) in err
+
+
+def test_split_example_verifies_its_split_once(tmp_path, monkeypatch):
+    import ballspec.split as split
+    calls = []
+    verify_pos = split.verify_pos
+    monkeypatch.setattr(split, "verify_pos", lambda pair: calls.append(1) or verify_pos(pair))
+    assert run_cli(tmp_path, "--example", "ex5") == 0
+    assert len(calls) == 1

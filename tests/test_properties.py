@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ballspec.basis import BasisSpec, UsageError, ball_phase, ball_radial, ex1_radial, wfunc_radial
+from ballspec.diffmat import build_Dr
 from ballspec.expand import (
     analyze,
     analyze_disc,
@@ -95,3 +96,13 @@ def test_semisep_matvec_equals_dense_matvec(seed, size, rank, masked, complex_x)
     dense = a.to_dense()
     bound = 1e-13 * (1.0 + np.abs(dense) @ np.abs(x))
     assert np.all(np.abs(a.matvec(x) - dense @ x) <= bound)
+
+
+@PROPERTY
+@given(n=st.integers(0, 200),
+       alpha=st.floats(0.0, 84.0, exclude_min=True, allow_subnormal=False))
+def test_radial_differentiation_is_exactly_skew_with_checkerboard(n, alpha):
+    dense = build_Dr(n, alpha).to_dense()
+    assert np.all(dense + dense.T == 0.0)
+    i, j = np.indices(dense.shape)
+    assert np.all(dense[(i + j) % 2 == 0] == 0.0)

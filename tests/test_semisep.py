@@ -19,6 +19,7 @@ from ballspec.semisep import (
     to_dense,
 )
 from ballspec.diffmat import build_Dr
+from ballspec.jacobi import ParameterError
 
 
 def random_semisep(rng, n, masked=False):
@@ -189,3 +190,24 @@ def test_contour_factors_once_and_solves_once_per_node(monkeypatch):
     contour_apply(np.exp, a, v)
     assert calls == {"schur": 1, "solve": 0, "solve_shifted": want}
     assert want > ContourSpec().nodes
+
+
+@pytest.mark.parametrize("kwargs", [{"radius": 0.0}, {"radius": -1.0}, {"nodes": 4}])
+def test_contour_spec_rejects_bad_parameters_with_parameter_error(kwargs):
+    with pytest.raises(ParameterError):
+        ContourSpec(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_is_refused_before_the_eigensolve(monkeypatch, bad):
+    a = build_Dr(6, 2.0).to_dense()
+    a[2, 3] = bad
+    def eigvals(m):
+        raise AssertionError("eigvals must not see a non-finite matrix")
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    with pytest.raises(ParameterError, match="non-finite"):
+        default_contour(a)
+    with pytest.raises(ParameterError, match="non-finite"):
+        contour_apply(np.exp, a, np.ones(7))
+    with pytest.raises(ParameterError, match="non-finite"):
+        contour_apply(np.exp, a, np.ones(7), ContourSpec(radius=100.0))

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from ballspec.basis import InnerProductKind, UsageError, angular_dft, angular_grid, inner_product
+from ballspec.basis import (InnerProductKind, UsageError, angular_dft, angular_grid, ball_phase,
+                            cell_measures, distinct_radii, inner_product)
 from ballspec.jacobi import gauss_jacobi_01
 from ballspec.split import (
     SplitPair,
+    SplitReport,
     Template,
+    check_split,
     distinct_phase,
     make_pos,
     raw_pair,
@@ -151,6 +154,27 @@ def test_distinct_phase_equals_exp_over_full_mesh():
         assert got.tobytes() == want.tobytes()
 
 
+def test_tensor_mesh_is_not_sorted_point_by_point(monkeypatch):
+    rng = np.random.default_rng(4)
+    radii = np.concatenate([rng.uniform(0.0, 1.0, 6), [0.5, 0.5, 1.0]])
+    angles = [np.linspace(-np.pi, np.pi, 12, endpoint=False), np.array([0.0, -0.0, 1.0, 0.0])]
+    mesh = np.meshgrid(radii, *angles, indexing="ij")
+    scattered = [rng.permutation(m.ravel()) for m in mesh]
+    want_r = [np.unique(m.ravel(), return_inverse=True) for m in (mesh[0], scattered[0])]
+    want_phase = [ball_phase((3, -2), list(m[1:])) for m in (mesh, scattered)]
+    sizes = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda a, **kw: sizes.append(np.size(a)) or unique(a, **kw))
+    for m, (ru, inv), phase in zip((mesh, scattered), want_r, want_phase):
+        got_ru, got_inv = distinct_radii(m[0])
+        assert np.array_equal(got_ru, ru) and np.array_equal(got_inv, inv)
+        assert distinct_phase(m[1:])((3, -2)).tobytes() == phase.tobytes()
+        if m is mesh:
+            # one sort per axis line, none over the mesh
+            assert max(sizes) == max(len(radii), len(angles[0]), len(angles[1]))
+    assert max(sizes) == mesh[0].size
+
+
 def test_split_report_worst_is_the_largest_residual():
     rep = verify_pos(raw_pair(standard_field))
     assert rep.worst == worst_residual(rep) > 0.0
@@ -169,3 +193,108 @@ def test_split_coefficient_is_scale_invariant(s):
     scaled = make_pos(lambda r, th: s * standard_field(r, th), Template.LINEAR).c
     assert list(scaled) == list(c)
     assert abs(scaled[1] - c[1]) <= 1e-12 * abs(c[1])
+
+
+def field_3d(r, t1, t2):
+    return (1.0 - np.asarray(r)) * np.exp(np.asarray(r)) \
+        * np.exp(1j * (0.5 + np.asarray(t1) + 2.0 * np.asarray(t2)))
+
+
+def degenerate_field(r, th):
+    return (1.0 - np.asarray(r)) * np.exp(1j * np.asarray(th))
+
+
+def callable_report(pair, f1):
+    """verify_pos as a formula over callables: every residual re-samples
+    pair.f0 and the residual part f1 on its own mesh, and the orthogonality
+    residual is the box quadrature of f0 conj(f1) on the Gauss-Legendre
+    radii times 48 angles per axis."""
+    grids = angular_grid(pair.d, 32)
+    rq, wq = gauss_jacobi_01(48, 0.0, 0.0)
+    mesh = np.meshgrid(rq, *grids, indexing="ij")
+    f = pair.f(*mesh)
+    bmesh = np.meshgrid(np.array([1.0]), *grids, indexing="ij")
+    omesh = np.meshgrid(np.array([0.0]), *grids, indexing="ij")
+    qmesh = np.meshgrid(rq, *angular_grid(pair.d, 48), indexing="ij")
+    vals = pair.f0(*qmesh) * np.conj(f1(*qmesh))
+    for _ in range(pair.d - 1):
+        vals = vals.sum(axis=-1)
+    ortho = complex(np.dot(wq, vals) * np.prod(cell_measures(pair.d, 48)))
+    return SplitReport(
+        sum_residual=float(np.max(np.abs(pair.f0(*mesh) + f1(*mesh) - f))),
+        boundary_residual=max(float(np.max(np.abs(pair.f0(*bmesh)))),
+                              float(np.max(np.abs(f1(*bmesh))))),
+        origin_residual=max(float(np.max(np.abs(f1(*omesh)))),
+                            float(np.max(np.abs(pair.f0(*omesh) - pair.f(*omesh))))),
+        orthogonality_residual=float(abs(ortho)),
+        scale=float(np.max(np.abs(f))))
+
+
+def _zero_field(r, *thetas):
+    return np.zeros(np.broadcast(np.asarray(r), *thetas).shape, dtype=complex)
+
+
+SPLIT_CASES = {
+    "linear": lambda: make_pos(standard_field, Template.LINEAR),
+    "cosine": lambda: make_pos(standard_field, Template.COSINE),
+    "multi_mode": lambda: make_pos(multi_mode_field, Template.COSINE),
+    "scaled": lambda: make_pos(lambda r, th: 1e4 * standard_field(r, th), Template.LINEAR),
+    "ball3d": lambda: make_pos(field_3d, Template.LINEAR, d=3),
+    "degenerate": lambda: make_pos(degenerate_field, Template.LINEAR),
+    "raw": lambda: raw_pair(standard_field),
+    "raw_3d": lambda: raw_pair(field_3d, d=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_split_report_equals_the_callable_formula(case):
+    pair = SPLIT_CASES[case]()
+    # the residual part as the parent stored it: f itself in a raw pair, a
+    # zero field in a degenerate one, f - f0 otherwise
+    if case.startswith("raw"):
+        f1 = pair.f
+    elif pair.degenerate:
+        f1 = _zero_field
+    else:
+        f1 = lambda r, *thetas: pair.f(r, *thetas) - pair.f0(r, *thetas)
+    assert verify_pos(pair) == callable_report(pair, f1)
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_residual_part_is_f_minus_f0_bit_for_bit(case):
+    pair = SPLIT_CASES[case]()
+    rng = np.random.default_rng(5)
+    points = [rng.uniform(0.0, 1.0, 40), rng.uniform(-np.pi, np.pi, 40)] + \
+        [rng.uniform(0.0, np.pi, 40) for _ in range(pair.d - 2)]
+    got = pair.f1(*points)
+    want = pair.f(*points) - pair.f0(*points)
+    assert got.tobytes() == want.tobytes()
+    if case.startswith("raw"):
+        assert np.array_equal(got, pair.f(*points))
+    if pair.degenerate:
+        assert np.all(got == 0.0)
+
+
+@pytest.mark.parametrize("d, field", [(2, standard_field), (3, field_3d)])
+def test_verify_pos_samples_each_field_once_per_mesh(d, field):
+    pair = make_pos(field, Template.LINEAR, d=d)
+    shapes = {"f": [], "f0": []}
+
+    def counted(name, fn):
+        def wrapped(*mesh):
+            shapes[name].append(np.broadcast(*mesh).shape)
+            return fn(*mesh)
+        return wrapped
+
+    pair.f, pair.f0 = counted("f", pair.f), counted("f0", pair.f0)
+    verify_pos(pair)
+    meshes = [(48,) + (32,) * (d - 1), (1,) + (32,) * (d - 1), (1,) + (32,) * (d - 1),
+              (48,) * d]
+    assert sorted(shapes["f"]) == sorted(meshes)
+    assert sorted(shapes["f0"]) == sorted(meshes)
+
+
+def test_check_split_gates_the_relative_residual():
+    assert check_split(make_pos(standard_field)) == verify_pos(make_pos(standard_field))
+    with pytest.raises(UsageError, match="relative residual"):
+        check_split(raw_pair(standard_field))
