@@ -4,7 +4,8 @@ The basis functions all vanish at the origin, so a field with f(0, .) != 0
 is first split as f = f0 + f1: the affine part f0 carries the value at the
 origin along a fixed radial template, f1 vanishes there, both vanish on the
 boundary, and the two parts are orthogonal (one Gram-Schmidt step per
-angular Fourier mode).  Expanding f1 in the weighted basis then converges
+angular Fourier mode).  The template is any radial callable T with T(0) = 1
+and T(1) = 0; the default is 1 - r.  Expanding f1 in the weighted basis then converges
 geometrically; skipping the splitting leaves an O(1) error at the origin.
 
 Run:  python3 demos/03_splitting_and_expansion.py
@@ -14,7 +15,7 @@ import numpy as np
 
 from ballspec.basis import BasisSpec
 from ballspec.expand import analyze_disc, error_report, flatten_index
-from ballspec.split import Template, make_pos, raw_pair, verify_pos
+from ballspec.split import make_pos, raw_pair, verify_pos
 
 
 def f(r, th):
@@ -26,11 +27,12 @@ spec = BasisSpec(alpha=2.0, beta=2.0, d=2, N=6, K=5)
 
 # --- with splitting ---------------------------------------------------------
 
-pair = make_pos(f, Template.LINEAR)
-rep = verify_pos(pair)
+pair = make_pos(f)
 print("splitting residuals (sum / boundary / origin / orthogonality):")
-print(f"  {rep.sum_residual:.2e}  {rep.boundary_residual:.2e}"
-      f"  {rep.origin_residual:.2e}  {rep.orthogonality_residual:.2e}")
+for name, T in (("1 - r", None), ("cos(pi r / 2)", lambda r: np.cos(0.5 * np.pi * r))):
+    rep = verify_pos(pair if T is None else make_pos(f, T))
+    print(f"  T = {name:13s}  {rep.sum_residual:.2e}  {rep.boundary_residual:.2e}"
+          f"  {rep.origin_residual:.2e}  {rep.orthogonality_residual:.2e}")
 print("Gram-Schmidt coefficient per live mode:", {m: f"{c:.6f}" for m, c in pair.c.items()})
 
 coeffs = analyze_disc(pair, spec)

@@ -13,7 +13,7 @@ import numpy as np
 
 from ballspec.basis import BasisSpec
 from ballspec.expand import analyze, error_report
-from ballspec.split import Template, make_pos, verify_pos
+from ballspec.split import make_pos, verify_pos
 
 
 def f(r, t1, *rest):
@@ -25,7 +25,7 @@ def f(r, t1, *rest):
 
 
 spec = BasisSpec(alpha=2.0, beta=2.0, d=3, N=5, K=3)
-pair = make_pos(f, Template.LINEAR, d=3)
+pair = make_pos(f, d=3)
 rep = verify_pos(pair)
 print("splitting residuals:", rep)
 
@@ -43,7 +43,7 @@ print(f"log-linear slope {slope:.3f}")
 
 # d = 4: 8 samples per angular axis resolve the modes up to |k| = 2; the
 # split's own verification samples a 48^4 mesh, so it is skipped here
-pair4 = make_pos(f, Template.LINEAR, d=4, k_max=2, n_samples=8)
+pair4 = make_pos(f, d=4, k_max=2, n_samples=8)
 print(f"\nd = 4: c = {pair4.c}")
 for N in (4, 6, 8):
     spec4 = BasisSpec(alpha=2.0, beta=2.0, d=4, N=N, K=1)

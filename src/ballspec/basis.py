@@ -1,13 +1,13 @@
 """Weighted orthonormal bases on the unit disc and d-dimensional unit ball.
 
-Three families are provided:
+Two families are provided, each as a vectorised radial factor times the
+Fourier phase ball_phase:
 
 * WFUNC: weighted functions (1-r)^(a/2) r^(b/2) times orthonormal Jacobi
   polynomials in 2r-1 and a Fourier factor; orthonormal under the Cartesian
   inner product on the (r, theta) coordinate box.
 * EX1_WEIGHTED: the (a, 1)-Jacobi family with weight (1-r)^(a/2), orthonormal
   under the polar (r-weighted) inner product on the disc.
-* ZERNIKE: the classical disc polynomials, evaluation only.
 
 Normalisation constants are fixed here so that each family is orthonormal
 under its declared inner product; this is certified by test rather than
@@ -37,7 +37,6 @@ from .jacobi import (
 class BasisKind(Enum):
     WFUNC = "wfunc"
     EX1_WEIGHTED = "ex1_weighted"
-    ZERNIKE = "zernike"
 
 
 class InnerProductKind(Enum):
@@ -78,27 +77,16 @@ class BasisSpec:
         return self.kind is BasisKind.WFUNC and self.alpha > 0 and self.beta > 0
 
 
-@dataclass(frozen=True)
-class PolarPoint:
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.r <= 1.0:
-            raise UsageError(f"radius {self.r} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class BallPoint:
-    r: float
-    theta: tuple
-
-    def __post_init__(self):
-        if not 0.0 <= self.r <= 1.0:
-            raise UsageError(f"radius {self.r} outside [0, 1]")
-
-
 # -- radial profiles --------------------------------------------------------
+
+def _radii(r) -> np.ndarray:
+    """r as a float array, refused unless every radius is finite and in [0, 1]."""
+    r = np.asarray(r, dtype=float)
+    bad = r[~((r >= 0.0) & (r <= 1.0))]
+    if bad.size:
+        raise UsageError(f"radius {bad[0]} outside [0, 1]")
+    return r
+
 
 def _jacobi_rows(n, params: JacobiParams, x):
     """(P, sqrt(h)) for the degrees in n, from one recurrence table.
@@ -122,10 +110,11 @@ def wfunc_radial(spec: BasisSpec, n, r):
     (1-r)^(a/2) r^(b/2) times the orthonormal Jacobi polynomial in 2r-1,
     scaled by pi^(-(d-1)/2) 2^((a+b)/2) for unit norm over the coordinate
     box.  n is a degree or a 1-D sequence of degrees; a sequence gives one
-    row per degree, all from one O(max n) recurrence pass per radius.
+    row per degree, all from one O(max n) recurrence pass per radius.  A
+    radius outside [0, 1], or not finite, raises UsageError.
     """
     a, b = spec.alpha, spec.beta
-    r = np.asarray(r, dtype=float)
+    r = _radii(r)
     scale = np.pi ** (-0.5 * (spec.d - 1)) * 2.0 ** (0.5 * (a + b))
     # (1-r)^(a/2) r^(b/2) evaluates to a literal zero at the endpoints
     p, sqrt_h = _jacobi_rows(n, JacobiParams(a, b), 2.0 * r - 1.0)
@@ -137,50 +126,29 @@ def ball_radial(spec: BasisSpec, n, r):
     return wfunc_radial(spec, n, r)
 
 
-def wfunc_eval(spec: BasisSpec, n: int, mode, p) -> complex:
-    """Weighted basis function at a point: an int m and a PolarPoint (d=2),
-    or d-1 angular indices and a BallPoint (d >= 3)."""
-    if spec.kind is not BasisKind.WFUNC:
-        raise UsageError("weighted basis evaluation requires a weighted basis spec")
-    if np.size(mode) != spec.d - 1:
-        raise UsageError(f"need {spec.d - 1} angular indices, got {np.size(mode)}")
-    return wfunc_radial(spec, n, p.r) * ball_phase(mode, p.theta)
-
-
-def ball_basis_eval(spec: BasisSpec, n: int, mvec, p: BallPoint) -> complex:
-    """d-ball basis function: wfunc_eval for a spec with beta == alpha."""
-    if spec.beta != spec.alpha:
-        raise UsageError("ball basis requires a weighted spec with beta == alpha")
-    return wfunc_eval(spec, n, mvec, p)
-
-
 def ex1_radial(n, alpha: float, r):
     """Radial factor of the polar-inner-product family of weight (1-r)^(a/2).
 
-    n is a degree or a 1-D sequence of degrees, as in wfunc_radial.
+    n is a degree or a 1-D sequence of degrees, and r is checked, as in
+    wfunc_radial.
     """
     if alpha <= 1.0:
         raise ParameterError(f"this family needs alpha > 1, got {alpha}")
-    r = np.asarray(r, dtype=float)
+    r = _radii(r)
     p, sqrt_h = _jacobi_rows(n, JacobiParams(alpha, 1.0), 2.0 * r - 1.0)
     return 2.0 ** (0.5 * (alpha + 2.0)) / sqrt_h * (1.0 - r) ** (0.5 * alpha) * p
 
 
-def ex1_basis_eval(n: int, m: int, p: PolarPoint, alpha: float) -> complex:
-    """Disc basis orthonormal under the polar (r-weighted) inner product."""
-    return (2.0 * np.pi) ** -0.5 * ex1_radial(n, alpha, p.r) * ball_phase(m, p.theta)
-
-
 def zernike_radial(n: int, r):
-    """Radial factor of the classical disc polynomials, normalised to unit
-    polar-inner-product norm."""
+    """The m = 0 radial factor of the classical disc (Zernike) polynomials,
+    normalised to unit polar-inner-product norm.
+
+    It omits the r^|m| of the m != 0 factors, so it is no basis for other
+    modes; no analysis or synthesis path uses it.
+    """
     r = np.asarray(r, dtype=float)
     scale = np.sqrt(2.0 / (np.pi * norm_h(n, JacobiParams(0.0, 1.0))))
     return scale * jacobi_eval(n, JacobiParams(0.0, 1.0), 2.0 * r - 1.0)
-
-
-def zernike_eval(n: int, m: int, p: PolarPoint) -> complex:
-    return zernike_radial(n, p.r) * ball_phase(m, p.theta)
 
 
 # -- the angular convention ------------------------------------------------
@@ -225,18 +193,25 @@ def angular_dft(values, d: int, k_max: int, mean: bool = False) -> dict:
             coef = coef * s
     k1s = np.fft.fftfreq(shape[0], d=1.0 / shape[0]).astype(int)
     coef = coef * np.exp(1j * k1s * np.pi).reshape((-1,) + (1,) * (d - 2))
-    return {mode: coef[(...,) + tuple(k % n for k, n in zip(np.atleast_1d(mode), shape))]
-            for mode in angular_modes(d, k_max)}
+    # one gather of every mode's column; the meshgrid's "ij" order is the
+    # flat order of angular_modes
+    ks = np.arange(-k_max, k_max + 1)
+    index = tuple(ix.ravel() for ix in np.meshgrid(*[ks % n for n in shape], indexing="ij"))
+    cols = coef[(...,) + index]
+    return {mode: cols[..., j] for j, mode in enumerate(angular_modes(d, k_max))}
 
 
 def ball_phase(mode, theta):
     """Angular phase exp(i(m1 t1 + 2 m2 t2 + ... + 2 m_{d-1} t_{d-1})).
 
-    mode is an int (d=2) or a sequence of d-1 indices; theta one angle (d=2)
-    or a sequence of d-1 angles or angle arrays.
+    mode is an int (d=2) or a sequence of d-1 indices; theta one angle or
+    angle array (d=2), or a list or tuple of d-1 of them.  A mode whose
+    length is not that of theta raises UsageError.
     """
     ks = np.atleast_1d(mode)
-    theta = theta if isinstance(theta, (list, tuple)) else np.atleast_1d(theta)
+    theta = theta if isinstance(theta, (list, tuple)) else [theta]
+    if ks.size != len(theta):
+        raise UsageError(f"need {len(theta)} angular indices, got {ks.size}")
     arg = ks[0] * theta[0]
     for k, t in zip(ks[1:], theta[1:]):
         arg = arg + 2.0 * k * t

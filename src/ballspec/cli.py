@@ -51,7 +51,7 @@ from .pde import (
     spectral_abscissa,
     stability_report,
 )
-from .split import Template, check_split, make_pos, raw_pair
+from .split import check_split, make_pos, raw_pair
 
 EXAMPLES = ("ex1", "ex2", "ex3", "ex4", "ex5", "ball3d", "pde-demo")
 
@@ -240,7 +240,7 @@ def _split_expansion(config: RunConfig, split_tol: float, d: int = 2) -> ErrorRe
     and split_tol bounds the absolute residuals of the same report.
     """
     f = test_field(d)
-    pair = make_pos(f, Template.LINEAR, d=d)
+    pair = make_pos(f, d=d)
     worst = check_split(pair).worst
     _check("split_residuals", worst <= split_tol, f"worst = {worst:.3e}")
     # the ball bases need beta == alpha
@@ -308,13 +308,13 @@ def run_pde_demo(config: RunConfig):
         * np.ones_like(np.asarray(th, dtype=float))
     dh = lambda r, th: -scale * np.ones(
         np.broadcast(np.asarray(r), np.asarray(th)).shape)
-    comp = compound_radial(ops, h, dh)
-    print(f"  affine drift scalar d = {comp.d_scalar.real:.6f}")
+    border = compound_radial(ops, h, dh)
+    print(f"  affine drift scalar d = {border.real:.6f}")
 
     rng = np.random.default_rng(config.seed)
     t_grid = (0.1, 1.0, 10.0)
 
-    op_s = assemble(PdeKind.SCHRODINGER, ops, comp)
+    op_s = assemble(PdeKind.SCHRODINGER, ops, border)
     drift = 0.0
     for _ in range(10):
         v = rng.standard_normal(op_s.total_size) + 1j * rng.standard_normal(op_s.total_size)
@@ -323,7 +323,7 @@ def run_pde_demo(config: RunConfig):
             drift = max(drift, abs(np.linalg.norm(propagate(op_s, v, t)) - 1.0))
     _check("unitary_propagation", drift <= 1e-9, f"max drift = {drift:.3e}")
 
-    op_d = assemble(PdeKind.DIFFUSION, ops, comp)
+    op_d = assemble(PdeKind.DIFFUSION, ops, border)
     ratio = 0.0
     for _ in range(10):
         v = rng.standard_normal(op_d.total_size) + 1j * rng.standard_normal(op_d.total_size)

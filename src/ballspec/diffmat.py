@@ -30,7 +30,7 @@ from .jacobi import (
     orthonormal_all,
     orthonormal_deriv_all,
 )
-from .basis import BasisSpec, UsageError, ex1_radial
+from .basis import BasisSpec, InnerProductKind, UsageError, ex1_radial, inner_product
 from .semisep import SemiSep2
 
 #: d/dr action of the reference-interval radial matrix is this multiple of it.
@@ -133,19 +133,12 @@ def build_Dr_quad(n_max: int, alpha: float, beta: float | None = None) -> np.nda
     return np.einsum("k,nmk->nm", w, block)
 
 
-def build_Dtheta(k_max: int) -> dict:
-    """Angular differentiation map: Fourier mode m acts as i*m times identity."""
-    if k_max < 0:
-        raise ParameterError("k_max must be nonnegative")
-    return {m: 1j * m for m in range(-k_max, k_max + 1)}
-
-
 @dataclass
 class DiffOpSet:
-    """Radial + angular differentiation operators for one basis spec."""
+    """The radial differentiation matrix of one basis spec; Fourier mode m
+    of the spec's -K..K differentiates in angle as i*m."""
 
     Dr: SemiSep2
-    Dtheta_diag: dict
     spec: BasisSpec
 
 
@@ -157,8 +150,7 @@ def build_diff_ops(spec: BasisSpec) -> DiffOpSet:
         )
     if spec.beta != spec.alpha:
         raise UsageError("closed-form radial matrix exists for alpha = beta only")
-    return DiffOpSet(Dr=build_Dr(spec.N, spec.alpha),
-                     Dtheta_diag=build_Dtheta(spec.K), spec=spec)
+    return DiffOpSet(Dr=build_Dr(spec.N, spec.alpha), spec=spec)
 
 
 # -- closed-form asymmetry matrices ----------------------------------------
@@ -225,31 +217,18 @@ def asymmetry_beta0(n: int, m: int, alpha: float) -> float:
     return (-1.0) ** (n + m) * sqrt((alpha + 2.0 * n + 1.0) * (alpha + 2.0 * m + 1.0))
 
 
-# -- compound (bordered) operators -----------------------------------------
+# -- the affine border --------------------------------------------------------
 
-@dataclass
-class CompoundOp:
-    """Bordered operator joining the 1x1 affine block to the residual block."""
+def compound_radial(ops: DiffOpSet, h, dh_dr) -> complex:
+    """Border scalar d of the radial operator diag(d, Dr) for a unit-norm
+    affine direction h(r, theta, ...) of the dimension of ops.spec.
 
-    d_scalar: complex
-    core: DiffOpSet
-
-
-def compound_radial(core: DiffOpSet, h, dh_dr) -> CompoundOp:
-    """Bordered radial operator for a unit-norm affine direction h(r, theta).
-
-    The scalar block is d = <dh/dr, h> under the box inner product; its real
-    part equals -(1/2) int |h(0, theta)|^2 dtheta because h vanishes at r=1.
-    The coupling blocks are zero by the orthogonality of the splitting.
+    d = <dh/dr, h> under the box inner product; its real part equals
+    -(1/2) int |h(0, theta)|^2 dtheta because h vanishes at r=1.  The
+    coupling blocks are taken as zero (block-diagonal generator).
     """
-    from .basis import inner_product, InnerProductKind
-    nrm2 = inner_product(h, h, InnerProductKind.CARTESIAN, resolution=64).real
+    dim = ops.spec.d
+    nrm2 = inner_product(h, h, InnerProductKind.CARTESIAN, resolution=64, d=dim).real
     if abs(nrm2 - 1.0) > 1e-8:
         raise UsageError(f"affine direction must have unit norm, got ||h||^2 = {nrm2}")
-    d = inner_product(dh_dr, h, InnerProductKind.CARTESIAN, resolution=64)
-    return CompoundOp(d_scalar=complex(d), core=core)
-
-
-def compound_angular(core: DiffOpSet, m: int) -> CompoundOp:
-    """Bordered angular operator for Fourier mode m; skew-Hermitian throughout."""
-    return CompoundOp(d_scalar=1j * m, core=core)
+    return complex(inner_product(dh_dr, h, InnerProductKind.CARTESIAN, resolution=64, d=dim))

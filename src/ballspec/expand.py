@@ -5,7 +5,7 @@ Angular directions are handled by equispaced FFT sampling in the angular
 convention of ``basis`` (exact for the band-limited test fields); the radial
 direction by Gauss-Jacobi rules whose weight absorbs the basis' algebraic
 endpoint factors, so the rule only ever sees polynomial-times-analytic
-integrands.  One analysis core serves the three families, each binding its
+integrands.  One analysis core serves both families, each binding its
 radial weight, table and scale; synthesis and error reports pick the radial
 family from the coefficients' spec (kind and d).
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +34,8 @@ from .jacobi import JacobiParams, gauss_jacobi_01, orthonormal_all
 from .split import SplitPair, check_split, raw_pair
 
 
-def quad_pad() -> int:
-    """Radial quadrature padding, 8 unless BALLSPEC_QUAD_PAD says otherwise."""
-    env = os.environ.get("BALLSPEC_QUAD_PAD")
-    return int(env) if env else 8
+#: Radial quadrature nodes of the analysis beyond the N + 1 of the basis.
+QUAD_PAD = 8
 
 
 @dataclass
@@ -69,13 +66,6 @@ def flatten_index(n: int, m: int, spec: BasisSpec) -> int:
     return n * (2 * spec.K + 1) + (m + spec.K)
 
 
-def unflatten_index(q: int, spec: BasisSpec):
-    width = 2 * spec.K + 1
-    if not 0 <= q < width * (spec.N + 1):
-        raise UsageError(f"flat index {q} out of range")
-    return q // width, q % width - spec.K
-
-
 def _analyze(pair: SplitPair, spec: BasisSpec, weight, table, scale) -> np.ndarray:
     """fhat[:, mode] = scale * (table(r) @ (w * F_mode(r))) over the flat modes.
 
@@ -84,7 +74,7 @@ def _analyze(pair: SplitPair, spec: BasisSpec, weight, table, scale) -> np.ndarr
     angular integral of f1, mapped from that of f by the split, and
     table(r) the (N+1, nodes) radial factor.
     """
-    r, w = gauss_jacobi_01(spec.N + quad_pad(), *weight)
+    r, w = gauss_jacobi_01(spec.N + QUAD_PAD, *weight)
     mesh = np.meshgrid(r, *angular_grid(spec.d, max(2 * spec.K + 2, 16)), indexing="ij")
     F = pair.residual_coeffs(angular_dft(pair.f(*mesh), spec.d, spec.K), r,
                              2.0 * np.pi ** (spec.d - 1))

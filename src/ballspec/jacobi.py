@@ -64,8 +64,6 @@ def weight_mass(params: JacobiParams) -> float:
 
 def jacobi_eval(n: int, params: JacobiParams, x):
     """Evaluate the Jacobi polynomial of degree n by forward recurrence."""
-    if n < 0:
-        raise ParameterError(f"degree must be nonnegative, got {n}")
     return jacobi_eval_all(n, params, x)[n]
 
 
@@ -130,11 +128,6 @@ def norm_h(n: int, params: JacobiParams) -> float:
         - lgamma(1.0 + a + b + n)
     )
     return exp(log_h)
-
-
-def orthonormal_eval(n: int, params: JacobiParams, x):
-    """Orthonormalised Jacobi polynomial P_n / sqrt(h_n)."""
-    return jacobi_eval(n, params, x) / np.sqrt(norm_h(n, params))
 
 
 def orthonormal_all(n: int, params: JacobiParams, x) -> np.ndarray:

@@ -2,7 +2,8 @@
 equations built from bordered differentiation operators.
 
 Per Fourier mode m, the generator is assembled from the bordered radial
-operator E_r = diag(d, Dr) and the bordered angular operator E_t = i*m*I as
+operator E_r = diag(d, Dr), with the border scalar d of
+diffmat.compound_radial, and the angular operator E_t = i*m*I as
 
     L_m = -(E_r^* E_r + E_t^* E_t),
 
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .basis import UsageError
-from .diffmat import DiffOpSet, CompoundOp, RADIAL_SCALE, build_Dr_quad
+from .diffmat import DiffOpSet, RADIAL_SCALE, build_Dr_quad
 
 
 class PdeKind(Enum):
@@ -47,19 +48,20 @@ class SemidiscreteOp:
         return sum(b.shape[0] for b in self.mode_blocks.values())
 
 
-def assemble(kind: PdeKind, ops: DiffOpSet, compound: CompoundOp) -> SemidiscreteOp:
-    """Hermitian semidiscrete generator from a certified operator set."""
+def assemble(kind: PdeKind, ops: DiffOpSet, d_scalar: complex) -> SemidiscreteOp:
+    """Hermitian semidiscrete generator from a certified operator set and the
+    border scalar d, one block per mode -K..K of ops.spec."""
     if not ops.spec.skew_certified:
         raise UsageError(
             "refusing to assemble from a non-certified basis: the radial "
             "matrix is skew symmetric only for alpha = beta > 0"
         )
-    d = complex(compound.d_scalar)
+    d = complex(d_scalar)
     dr = RADIAL_SCALE * ops.Dr.to_dense()
     radial_core = dr.T @ dr  # = -Dr^2, positive semidefinite for skew Dr
     n1 = dr.shape[0] + 1
     blocks = {}
-    for m in ops.Dtheta_diag:
+    for m in range(-ops.spec.K, ops.spec.K + 1):
         block = np.zeros((n1, n1), dtype=complex)
         block[0, 0] = -(abs(d) ** 2 + m * m)
         block[1:, 1:] = -(radial_core + m * m * np.eye(dr.shape[0]))

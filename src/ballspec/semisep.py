@@ -178,14 +178,6 @@ class SemiSep2:
         return np.array(y), mults
 
 
-def matvec(a: SemiSep2, x):
-    return a.matvec(x)
-
-
-def to_dense(a: SemiSep2):
-    return a.to_dense()
-
-
 @dataclass(frozen=True)
 class SchurForm:
     """Complex Schur form A = Z T Z^H of a dense matrix, kept next to A."""

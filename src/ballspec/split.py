@@ -16,7 +16,6 @@ global orthogonality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -32,20 +31,9 @@ N_RADIAL = 48
 COEFF_TOL = 1e-13
 
 
-class Template(Enum):
-    LINEAR = "linear"    # 1 - r
-    COSINE = "cosine"    # cos(pi r / 2)
-    CUSTOM = "custom"
-
-
-def template_profile(template: Template, custom=None):
-    if template is Template.LINEAR:
-        return lambda r: 1.0 - np.asarray(r, dtype=float)
-    if template is Template.COSINE:
-        return lambda r: np.cos(0.5 * np.pi * np.asarray(r, dtype=float))
-    if custom is None:
-        raise UsageError("CUSTOM template requires a radial callable")
-    return custom
+def _one_minus_r(r):
+    """The default radial template T(r) = 1 - r."""
+    return 1.0 - np.asarray(r, dtype=float)
 
 
 @dataclass
@@ -106,13 +94,14 @@ def _check_dim(d: int):
         raise UsageError(f"splitting needs d >= 2, got d={d}")
 
 
-def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
-             k_max: int = 16, n_samples: int = 64,
-             custom_template=None) -> SplitPair:
+def make_pos(f, template=_one_minus_r, d: int = 2,
+             k_max: int = 16, n_samples: int = 64) -> SplitPair:
     """Split f into an orthogonal (affine, residual) pair.
 
     f is a callable f(r, theta1, ..., theta_{d-1}) accepting arrays, for any
-    d >= 2, continuous on the closed box with f(1, .) = 0.  n_samples angular
+    d >= 2, continuous on the closed box with f(1, .) = 0.  template is the
+    radial callable T of the affine part (array of radii -> array), with
+    T(0) = 1 and T(1) = 0; the default is 1 - r.  n_samples angular
     samples per axis must resolve the modes up to k_max: n_samples >=
     2*k_max + 1; f is sampled on n_samples^(d-1) angles per radius.  The
     split is a per-mode affine map (see SplitPair); its thresholds are
@@ -128,17 +117,18 @@ def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
         raise UsageError(
             f"n_samples={n_samples} cannot resolve k_max={k_max}: "
             f"need n_samples >= 2*k_max+1 = {2 * k_max + 1}")
-    T = template_profile(template, custom_template)
+    if not callable(template):
+        raise UsageError(f"template must be a radial callable, got {template!r}")
     origin_mesh = np.meshgrid(np.array([0.0]), *angular_grid(d, n_samples), indexing="ij")
     origin = angular_dft(f(*origin_mesh)[0], d, k_max, mean=True)
     scale = np.max(np.abs(list(origin.values())))
     modes = [m for m, v in origin.items() if abs(complex(np.asarray(v))) > COEFF_TOL * scale]
 
     rq, wq = gauss_jacobi_01(N_RADIAL, 0.0, 0.0)
-    t_nodes = T(rq)
+    t_nodes = template(rq)
     g = {m: complex(np.asarray(origin[m])) for m in modes}
-    # mode -> f_mode(rq) - g_mode * T(rq)
-    resid_at_nodes = _residual_profiles(f, modes, g, T, d, n_samples, rq) if modes else {}
+    # mode -> f_mode(rq) - g_mode * template(rq)
+    resid_at_nodes = _residual_profiles(f, modes, g, template, d, n_samples, rq) if modes else {}
     c = {}
     pure = []   # modes that are already a pure template multiple keep c = 0
     for m in modes:
@@ -161,17 +151,18 @@ def make_pos(f, template: Template = Template.LINEAR, d: int = 2,
             # the same samples make_pos took: reuse them instead of re-sampling f
             resid_u = {m: resid_at_nodes[m] for m in needed}
         else:
-            resid_u = _residual_profiles(f, needed, g, T, d, n_samples, ru) if needed else {}
+            resid_u = _residual_profiles(f, needed, g, template, d, n_samples, ru) \
+                if needed else {}
         phase = distinct_phase(thetas)
         for m in modes:
-            prof_u = g[m] * T(ru)
+            prof_u = g[m] * template(ru)
             if m in resid_u:
                 prof_u = prof_u - c[m] * resid_u[m]
             out = out + prof_u[inv].reshape(r.shape) * phase(m)
         return out
 
-    return SplitPair(f=f, f0=f if degenerate else f0, c=c, origin_coeffs=g, profile=T, d=d,
-                     degenerate=degenerate)
+    return SplitPair(f=f, f0=f if degenerate else f0, c=c, origin_coeffs=g, profile=template,
+                     d=d, degenerate=degenerate)
 
 
 def raw_pair(f, d: int = 2) -> SplitPair:

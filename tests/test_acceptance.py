@@ -29,8 +29,8 @@ from ballspec.diffmat import (
 )
 from ballspec.expand import analyze_ball3, analyze_disc, error_report, flatten_index
 from ballspec.pde import PdeKind, assemble, norm_bound, propagate, split_by_mode
-from ballspec.semisep import SemiSep2, contour_apply, default_contour, matvec
-from ballspec.split import Template, make_pos, raw_pair
+from ballspec.semisep import SemiSep2, contour_apply, default_contour
+from ballspec.split import make_pos, raw_pair
 
 
 def standard_field(r, th):
@@ -88,7 +88,7 @@ def test_04_beta_zero_obstruction():
 def test_05_headline_77_coefficient_accuracy():
     t0 = time.perf_counter()
     spec = BasisSpec(alpha=2.0, beta=2.0, d=2, N=6, K=5)
-    pair = make_pos(standard_field, Template.LINEAR)
+    pair = make_pos(standard_field)
     coeffs = analyze_disc(pair, spec)
     rep = error_report(standard_field, coeffs, M=6)
     elapsed = time.perf_counter() - t0
@@ -184,7 +184,7 @@ def test_09_semiseparable_fast_algebra():
                      diag=rng.standard_normal(n),
                      parity_mask=masked)
         x = rng.standard_normal(n)
-        worst = max(worst, np.max(np.abs(matvec(a, x) - a.to_dense() @ x)))
+        worst = max(worst, np.max(np.abs(a.matvec(x) - a.to_dense() @ x)))
     _, c64 = build_Dr(63, 2.0).matvec_counted(rng.standard_normal(64))
     _, c128 = build_Dr(127, 2.0).matvec_counted(rng.standard_normal(128))
     growth = c128 / c64
@@ -211,7 +211,7 @@ def test_11_three_dimensional_experiment():
     f = lambda r, t1, t2: (1.0 - np.asarray(r)) * np.exp(np.asarray(r)) \
         * np.exp(1j * (0.5 + np.asarray(t1) + 2.0 * np.asarray(t2)))
     spec = BasisSpec(alpha=2.0, beta=2.0, d=3, N=5, K=3)
-    pair = make_pos(f, Template.LINEAR, d=3)
+    pair = make_pos(f, d=3)
     coeffs = analyze_ball3(pair, spec)
     rep = error_report(f, coeffs, M=6)
     flat = np.abs(coeffs.fhat).ravel()

@@ -5,24 +5,22 @@ import pytest
 from scipy.integrate import quad
 
 from ballspec.basis import (
-    BallPoint,
     BasisKind,
     BasisSpec,
     InnerProductKind,
-    PolarPoint,
     UsageError,
     angular_dft,
     angular_grid,
-    ball_basis_eval,
+    angular_modes,
+    ball_phase,
     ball_radial,
-    ex1_basis_eval,
+    cell_measures,
     ex1_radial,
     inner_product,
-    wfunc_eval,
     wfunc_radial,
-    zernike_eval,
     zernike_radial,
 )
+from ballspec.expand import CoeffTensor, synthesize
 from ballspec.jacobi import ParameterError
 
 
@@ -52,19 +50,27 @@ def test_wfunc_radial_orthonormal_beta_zero():
 
 
 def test_wfunc_vanishes_on_boundary_and_origin():
-    spec = BasisSpec(alpha=2.0, beta=2.0, d=2, N=4, K=2)
-    for n in range(5):
-        assert wfunc_eval(spec, n, 1, PolarPoint(1.0, 0.3)) == 0.0
-        assert wfunc_eval(spec, n, 1, PolarPoint(0.0, 0.3)) == 0.0
+    for spec, mode, theta in ((BasisSpec(alpha=2.0, beta=2.0, d=2, N=4, K=2), 1, 0.3),
+                              (BasisSpec(alpha=2.0, beta=2.0, d=3, N=4, K=2), (1, -2), [0.3, 1.2])):
+        vals = wfunc_radial(spec, range(5), [0.0, 1.0]) * ball_phase(mode, theta)
+        assert vals.shape == (5, 2)
+        assert np.all(vals == 0.0)
 
 
 def test_wfunc_eval_angular_phase():
     spec = BasisSpec(alpha=2.0, beta=2.0, d=2, N=2, K=3)
-    p = PolarPoint(0.37, 1.1)
-    base = wfunc_eval(spec, 2, 0, p)
+    r, theta = 0.37, 1.1
+    base = wfunc_radial(spec, 2, r) * ball_phase(0, theta)
     for m in (-2, 1, 3):
-        assert wfunc_eval(spec, 2, m, p) == pytest.approx(
-            base * np.exp(1j * m * p.theta), rel=1e-13)
+        assert wfunc_radial(spec, 2, r) * ball_phase(m, theta) == pytest.approx(
+            base * np.exp(1j * m * theta), rel=1e-13)
+    # an angle array gives the phase at every angle (d=2), and the ball phase
+    # weights every angle after the first by 2
+    th = np.linspace(-np.pi, np.pi, 9)
+    assert np.array_equal(ball_phase(3, th), np.exp(1j * (3 * th)))
+    t1, t2 = np.meshgrid(th, th[:4] + np.pi, indexing="ij")
+    assert np.allclose(ball_phase((2, -1), [t1, t2]), np.exp(1j * (2 * t1 - 2.0 * t2)),
+                       rtol=0.0, atol=1e-15)
 
 
 def test_ball_basis_orthonormal_d3():
@@ -94,9 +100,16 @@ def test_ball_basis_reduces_to_disc_for_d2():
 
 
 def test_ball_basis_eval_checks_angular_arity():
+    with pytest.raises(UsageError, match="need 2 angular indices, got 1"):
+        ball_phase((1,), [0.1, 0.2])
+    with pytest.raises(UsageError, match="need 1 angular indices, got 2"):
+        ball_phase((1, 2), 0.1)
+    # synthesis of d=3 coefficients at points with one angle
     spec = BasisSpec(alpha=2.0, beta=2.0, d=3, N=2, K=2)
-    with pytest.raises(UsageError):
-        ball_basis_eval(spec, 0, (1,), BallPoint(0.5, (0.1, 0.2)))
+    coeffs = CoeffTensor(fhat=np.ones((3, 5, 5), dtype=complex), fcirc={}, spec=spec)
+    with pytest.raises(UsageError, match="angular indices"):
+        synthesize(coeffs, 0.5, 0.1)
+    assert np.isfinite(synthesize(coeffs, 0.5, 0.1, 0.2))
 
 
 def test_ex1_family_orthonormal_polar():
@@ -105,10 +118,32 @@ def test_ex1_family_orthonormal_polar():
 
 
 def test_ex1_eval_includes_fourier_normalisation():
-    p = PolarPoint(0.4, -0.7)
-    v = ex1_basis_eval(3, 2, p, 2.0)
-    assert v == pytest.approx((2 * np.pi) ** -0.5 * ex1_radial(3, 2.0, p.r)
-                              * np.exp(2j * p.theta), rel=1e-13)
+    # synthesis of the unit coefficient (n, m) = (3, 2) of the polar family
+    spec = BasisSpec(alpha=2.0, beta=1.0, d=2, N=3, K=2, kind=BasisKind.EX1_WEIGHTED)
+    fhat = np.zeros((4, 5), dtype=complex)
+    fhat[3, 2 + 2] = 1.0
+    r, theta = 0.4, -0.7
+    v = synthesize(CoeffTensor(fhat=fhat, fcirc={}, spec=spec), r, theta)
+    assert v == pytest.approx((2 * np.pi) ** -0.5 * ex1_radial(3, 2.0, r)
+                              * np.exp(2j * theta), rel=1e-13)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, np.nan, np.inf])
+def test_radial_factors_refuse_radii_outside_the_unit_interval(bad):
+    spec = BasisSpec(alpha=2.0, beta=2.0, d=2, N=1, K=0)
+    with pytest.raises(UsageError, match="outside \\[0, 1\\]"):
+        wfunc_radial(spec, [0, 1], bad)
+    with pytest.raises(UsageError, match="outside \\[0, 1\\]"):
+        wfunc_radial(spec, [0, 1], [0.0, 0.5, bad, 1.0])
+    with pytest.raises(UsageError, match="outside \\[0, 1\\]"):
+        ex1_radial([0, 1], 2.0, bad)
+    # synthesis evaluates the radial factors, so it refuses the radius too
+    coeffs = CoeffTensor(fhat=np.ones((2, 1), dtype=complex), fcirc={}, spec=spec)
+    with pytest.raises(UsageError, match="outside \\[0, 1\\]"):
+        synthesize(coeffs, np.array([0.2, bad]), np.zeros(2))
+    # the closed interval is accepted
+    assert wfunc_radial(spec, [0, 1], [0.0, 1.0]).shape == (2, 2)
+    assert ex1_radial([0, 1], 2.0, [0.0, 1.0]).shape == (2, 2)
 
 
 def test_zernike_radial_orthonormal_polar():
@@ -117,7 +152,7 @@ def test_zernike_radial_orthonormal_polar():
 
 
 def test_zernike_does_not_vanish_at_origin():
-    assert abs(zernike_eval(0, 0, PolarPoint(0.0, 0.0))) > 0.1
+    assert abs(zernike_radial(0, 0.0)) > 0.1
 
 
 def test_spec_validation():
@@ -179,3 +214,33 @@ def test_angular_dft_d4_keys_and_direct_sums():
             phase = np.exp(-1j * (mode[0] * t1 + 2.0 * mode[1] * t2 + 2.0 * mode[2] * t3))
             want = weight * np.sum(values * phase, axis=(1, 2, 3))
             assert np.max(np.abs(got - want)) < 1e-12
+
+
+def per_mode_angular_dft(values, d, k_max, mean=False):
+    """angular_dft with one tuple index per mode (the reference for the gather)."""
+    shape = values.shape[values.ndim - (d - 1):]
+    coef = np.fft.fftn(values, axes=tuple(range(-(d - 1), 0)))
+    if mean:
+        coef = coef / int(np.prod(shape))
+    else:
+        for s in cell_measures(d, shape[0]):
+            coef = coef * s
+    k1s = np.fft.fftfreq(shape[0], d=1.0 / shape[0]).astype(int)
+    coef = coef * np.exp(1j * k1s * np.pi).reshape((-1,) + (1,) * (d - 2))
+    return {mode: coef[(...,) + tuple(k % n for k, n in zip(np.atleast_1d(mode), shape))]
+            for mode in angular_modes(d, k_max)}
+
+
+@pytest.mark.parametrize("d, shape, k_max", [(2, (5, 16), 5), (2, (16,), 7), (3, (3, 12, 12), 4),
+                                             (3, (12, 12), 5), (3, (2, 16, 9), 4)],
+                         ids=["d2", "d2-angles-only", "d3", "d3-angles-only", "d3-oblong"])
+def test_angular_dft_gather_equals_per_mode_indexing(d, shape, k_max):
+    rng = np.random.default_rng(len(shape) + k_max)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for mean in (False, True):
+        got = angular_dft(values, d, k_max, mean=mean)
+        want = per_mode_angular_dft(values, d, k_max, mean=mean)
+        assert list(got) == list(want) == angular_modes(d, k_max)
+        for mode in want:
+            assert got[mode].shape == want[mode].shape
+            assert np.array_equal(got[mode], want[mode])

@@ -100,11 +100,6 @@ def test_emit_report_empty_is_header_only(tmp_path):
     assert path.read_text().strip() == "q,abs_coeff"
 
 
-def test_quad_pad_env_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("BALLSPEC_QUAD_PAD", "16")
-    assert run_cli(tmp_path, "--example", "ex5") == 0
-
-
 def test_usage_error_exits_2_with_one_line_message(tmp_path, capsys):
     code = run_cli(tmp_path, "--example", "ex3", "--N", "-1")
     assert code == 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ballspec.basis import (
-    BasisKind, BasisSpec, PolarPoint, UsageError, ball_radial, wfunc_eval, wfunc_radial,
+    BasisKind, BasisSpec, UsageError, ball_radial, wfunc_radial,
 )
 from ballspec.expand import (
     CoeffTensor,
@@ -23,13 +23,11 @@ from ballspec.expand import (
     export_report_json,
     flatten_index,
     standard_grid,
-    quad_pad,
     synthesize,
     synthesize_polar_weighted,
-    unflatten_index,
 )
-from ballspec import cli
-from ballspec.split import SplitPair, Template, make_pos, raw_pair
+from ballspec import cli, expand
+from ballspec.split import SplitPair, make_pos, raw_pair
 
 
 def standard_field(r, th):
@@ -85,7 +83,7 @@ def test_round_trip_on_basis_function():
 
 
 def test_headline_accuracy_77_coefficients():
-    pair = make_pos(standard_field, Template.LINEAR)
+    pair = make_pos(standard_field)
     coeffs = analyze_disc(pair, DISC_SPEC)
     report = error_report(standard_field, coeffs, M=6)
     assert report.e_inf < 1e-8
@@ -93,7 +91,7 @@ def test_headline_accuracy_77_coefficients():
 
 
 def test_parseval_inequality_and_gap():
-    pair = make_pos(standard_field, Template.LINEAR)
+    pair = make_pos(standard_field)
     from ballspec.basis import InnerProductKind, inner_product
     f1_norm2 = inner_product(pair.f1, pair.f1, InnerProductKind.CARTESIAN,
                              resolution=64).real
@@ -132,7 +130,7 @@ def test_flatten_index_bijection():
     for n in range(7):
         for m in range(-5, 6):
             q = flatten_index(n, m, spec)
-            assert unflatten_index(q, spec) == (n, m)
+            assert divmod(q, 2 * spec.K + 1) == (n, m + spec.K)
             seen.add(q)
     assert seen == set(range(77))
     with pytest.raises(UsageError):
@@ -140,7 +138,7 @@ def test_flatten_index_bijection():
 
 
 def test_single_mode_field_occupies_expected_flat_indices():
-    pair = make_pos(standard_field, Template.LINEAR)
+    pair = make_pos(standard_field)
     coeffs = analyze_disc(pair, DISC_SPEC)
     report = error_report(standard_field, coeffs, M=6)
     top = max(v for _, v in report.coeff_decay)
@@ -159,7 +157,7 @@ def test_standard_grid_shape_and_endpoints():
 
 def test_truncation_monotonicity_in_flat_order():
     """Adding coefficients in flat-index order never worsens the plateau."""
-    pair = make_pos(standard_field, Template.LINEAR)
+    pair = make_pos(standard_field)
     coeffs = analyze_disc(pair, DISC_SPEC)
     full = error_report(standard_field, coeffs, M=6).e_inf
     from ballspec.expand import CoeffTensor
@@ -192,7 +190,7 @@ def test_ball3_full_pipeline_accuracy():
     f = lambda r, t1, t2: (1.0 - np.asarray(r)) * np.exp(np.asarray(r)) \
         * np.exp(1j * (0.5 + np.asarray(t1) + 2.0 * np.asarray(t2)))
     spec = BasisSpec(alpha=2.0, beta=2.0, d=3, N=5, K=3)
-    pair = make_pos(f, Template.LINEAR, d=3)
+    pair = make_pos(f, d=3)
     coeffs = analyze_ball3(pair, spec)
     report = error_report(f, coeffs, M=6)
     assert report.e_inf < 1e-6
@@ -208,21 +206,22 @@ def test_polar_weighted_family_round_trip():
     assert nz[-1] < 1e-6 * nz[0]
 
 
-def test_quad_pad_env_override(monkeypatch):
-    monkeypatch.setenv("BALLSPEC_QUAD_PAD", "21")
-    assert quad_pad() == 21
-    monkeypatch.delenv("BALLSPEC_QUAD_PAD")
-    assert quad_pad() == 8
-    # a larger pad must not change converged coefficients
+def test_larger_quad_pad_keeps_converged_coefficients(monkeypatch):
+    assert expand.QUAD_PAD == 8
     f = basis_field(DISC_SPEC, 2, 1)
     base = analyze_disc(raw_pair(f), DISC_SPEC, check=False).fhat
-    monkeypatch.setenv("BALLSPEC_QUAD_PAD", "20")
+    monkeypatch.setattr(expand, "QUAD_PAD", 20)
     padded = analyze_disc(raw_pair(f), DISC_SPEC, check=False).fhat
     assert np.max(np.abs(base - padded)) < 1e-12
+    # and so does the split headline configuration
+    pair = make_pos(standard_field)
+    padded = analyze_disc(pair, DISC_SPEC).fhat
+    monkeypatch.setattr(expand, "QUAD_PAD", 8)
+    assert np.max(np.abs(analyze_disc(pair, DISC_SPEC).fhat - padded)) < 1e-12
 
 
 def test_export_round_trips(tmp_path):
-    pair = make_pos(standard_field, Template.LINEAR)
+    pair = make_pos(standard_field)
     coeffs = analyze_disc(pair, DISC_SPEC)
     report = error_report(standard_field, coeffs, M=6)
     jpath = tmp_path / "report.json"
@@ -273,12 +272,12 @@ def test_synthesize_equals_per_degree_per_mode_loop(d):
         f = lambda r, th: (1.0 - np.asarray(r)) * np.exp(np.asarray(r)) * sum(
             np.exp(1j * m * (np.asarray(th) + 0.5)) / (1 + m * m) for m in range(-4, 5))
         spec = BasisSpec(alpha=2.0, beta=2.0, d=2, N=20, K=4)
-        coeffs = analyze_disc(make_pos(f, Template.LINEAR), spec)
+        coeffs = analyze_disc(make_pos(f), spec)
     else:
         f = lambda r, t1, t2: (1.0 - np.asarray(r)) * np.exp(np.asarray(r)) \
             * np.exp(1j * (0.5 + np.asarray(t1) + 2.0 * np.asarray(t2)))
         spec = BasisSpec(alpha=2.0, beta=2.0, d=3, N=8, K=2)
-        coeffs = analyze_ball3(make_pos(f, Template.LINEAR, d=3), spec)
+        coeffs = analyze_ball3(make_pos(f, d=3), spec)
     mesh = np.meshgrid(*standard_grid(24, d), indexing="ij")
     assert np.array_equal(synthesize(coeffs, *mesh), reference_synthesis(coeffs, *mesh))
 
@@ -293,16 +292,14 @@ def test_synthesize_dispatches_on_the_polar_family():
     assert general.e_inf < 1e-5
 
 
-def test_synthesize_refuses_zernike_coefficients():
-    spec = BasisSpec(alpha=0.0, beta=1.0, d=2, N=3, K=2, kind=BasisKind.ZERNIKE)
-    coeffs = CoeffTensor(fhat=np.ones((4, 5), dtype=complex), fcirc={}, spec=spec)
-    with pytest.raises(UsageError, match="zernike"):
-        synthesize(coeffs, 0.5, 0.1)
-    with pytest.raises(UsageError, match="zernike"):
-        error_report(standard_field, coeffs)
+def test_synthesize_refuses_polar_family_coefficients_off_the_disc():
+    spec = BasisSpec(alpha=2.0, beta=2.0, d=3, N=3, K=1, kind=BasisKind.EX1_WEIGHTED)
+    coeffs = CoeffTensor(fhat=np.ones((4, 3, 3), dtype=complex), fcirc={}, spec=spec)
+    with pytest.raises(UsageError, match="ex1_weighted"):
+        synthesize(coeffs, 0.5, 0.1, 0.2)
 
 
-@pytest.mark.parametrize("kind", [BasisKind.ZERNIKE, BasisKind.EX1_WEIGHTED])
+@pytest.mark.parametrize("kind", [BasisKind.EX1_WEIGHTED])
 def test_analyze_ball3_refuses_other_families(kind):
     spec = BasisSpec(alpha=2.0, beta=2.0, d=3, N=3, K=2, kind=kind)
     field = lambda r, t1, t2: np.zeros(np.broadcast(r, t1, t2).shape)
@@ -321,7 +318,7 @@ def counted(f):
 
 def test_synthesize_never_evaluates_the_field():
     f = counted(standard_field)
-    coeffs = analyze_disc(make_pos(f, Template.LINEAR), DISC_SPEC)
+    coeffs = analyze_disc(make_pos(f), DISC_SPEC)
     f.points = 0
     mesh = np.meshgrid(*standard_grid(24), indexing="ij")
     synthesize(coeffs, *mesh)
@@ -332,16 +329,16 @@ def test_synthesize_never_evaluates_the_field():
 @pytest.mark.parametrize("spec", [DISC_SPEC, BasisSpec(alpha=2.0, beta=2.0, d=2, N=20, K=9)])
 def test_analysis_samples_the_field_once(spec):
     f = counted(standard_field)
-    pair = make_pos(f, Template.LINEAR)
+    pair = make_pos(f)
     f.points = 0
     analyze_disc(pair, spec, check=False)
-    assert f.points == (spec.N + quad_pad()) * max(2 * spec.K + 2, 16)
+    assert f.points == (spec.N + expand.QUAD_PAD) * max(2 * spec.K + 2, 16)
 
 
 def test_closed_expansion_error_is_the_residual_error_over_one_plus_c():
     # the callback form f0 + sum fhat errs by the truncation error of f1;
     # the closed form by that of f_m - g_m T, which is |1 + c| times smaller
-    pair = make_pos(standard_field, Template.LINEAR)
+    pair = make_pos(standard_field)
     coeffs = analyze_disc(pair, DISC_SPEC)
     closed = error_report(standard_field, coeffs, M=6).e_inf
     mesh = np.meshgrid(*standard_grid(6), indexing="ij")
@@ -361,7 +358,7 @@ def test_degenerate_split_expands_the_modes_without_an_origin_value():
     # the origin and is carried by fhat
     f = lambda r, th: (1.0 - np.asarray(r)) * np.exp(1j * np.asarray(th)) \
         + np.asarray(r) * (1.0 - np.asarray(r)) * np.exp(2j * np.asarray(th))
-    pair = make_pos(f, Template.LINEAR)
+    pair = make_pos(f)
     assert pair.degenerate and list(pair.c) == [1]
     coeffs = analyze_disc(pair, DISC_SPEC)
     assert not np.any(coeffs.fhat[:, 1 + 5])
@@ -371,8 +368,8 @@ def test_degenerate_split_expands_the_modes_without_an_origin_value():
 def test_d4_standard_field_splits_and_expands_geometrically():
     # the d=4 analogue of the standard field, at small (N, K)
     f2, f4 = cli.test_field(2), cli.test_field(4)
-    pair = make_pos(f4, Template.LINEAR, d=4, k_max=2, n_samples=8)
-    c2 = make_pos(f2, Template.LINEAR).c
+    pair = make_pos(f4, d=4, k_max=2, n_samples=8)
+    c2 = make_pos(f2).c
     assert list(pair.c) == [(1, 1, 1)]
     assert abs(pair.c[(1, 1, 1)] - c2[1]) <= 1e-12
     errors = [error_report(f4, analyze(pair, BasisSpec(2.0, 2.0, d=4, N=N, K=1),
@@ -389,7 +386,7 @@ def test_analyze_refuses_a_split_of_another_dimension():
 @pytest.mark.parametrize("s", [1.0, 1e4])
 def test_split_verification_is_relative_to_the_field_scale(s):
     f = lambda r, th: s * standard_field(r, th)
-    pair = make_pos(f, Template.LINEAR)
+    pair = make_pos(f)
     analyze(pair, DISC_SPEC)
     bent = dataclasses.replace(pair, f0=lambda r, th: pair.f0(r, th) + 1e-6 * f(r, th))
     with pytest.raises(UsageError, match="fails verification"):

@@ -41,11 +41,14 @@ def test_blocks_are_hermitian_and_negative_semidefinite():
 def test_angular_mode_shifts_diagonal():
     ops, comp = linear_compound(SPEC)
     op = assemble(PdeKind.DIFFUSION, ops, comp)
+    # one block per mode -K..K of the spec, in that order
+    assert list(op.mode_blocks) == list(range(-SPEC.K, SPEC.K + 1))
     b0 = op.mode_blocks[0]
-    b2 = op.mode_blocks[2]
-    shift = b2 - b0
-    assert np.max(np.abs(shift - np.diag(np.diag(shift)))) < 1e-12
-    assert np.allclose(np.diag(shift), -4.0, atol=1e-12)
+    for m in op.mode_blocks:
+        # the angular derivative acts as i*m, so mode m shifts the diagonal by -m^2
+        shift = op.mode_blocks[m] - b0
+        assert np.max(np.abs(shift - np.diag(np.diag(shift)))) < 1e-12
+        assert np.allclose(np.diag(shift), -float(m * m), atol=1e-12)
 
 
 def test_schrodinger_generator_is_skew_hermitian():
@@ -60,7 +63,7 @@ def test_assemble_refuses_uncertified_basis():
     bad = BasisSpec(alpha=2.0, beta=0.0, d=2, N=4, K=1)
     good_ops, comp = linear_compound(SPEC)
     from ballspec.diffmat import DiffOpSet
-    fake = DiffOpSet(Dr=good_ops.Dr, Dtheta_diag=good_ops.Dtheta_diag, spec=bad)
+    fake = DiffOpSet(Dr=good_ops.Dr, spec=bad)
     with pytest.raises(UsageError):
         assemble(PdeKind.DIFFUSION, fake, comp)
 

@@ -3,14 +3,17 @@
 Each family is analysed by the same core, so one basis function must come
 back as its unit indicator and synthesize back to itself, whatever the
 family, truncation and exponent.  The exponents are even integers: then the
-Gauss-Jacobi rule sees a polynomial and analysis is exact to rounding.
+Gauss-Jacobi rule sees a polynomial and analysis is exact to rounding.  The
+split obeys Parseval and commutes with rotations in the first angle, and the
+radial matrix keeps its structure.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ballspec.basis import BasisSpec, UsageError, ball_phase, ball_radial, ex1_radial, wfunc_radial
+from ballspec.basis import (BasisSpec, InnerProductKind, UsageError, ball_phase, ball_radial,
+                            ex1_radial, inner_product, wfunc_radial)
 from ballspec.diffmat import build_Dr
 from ballspec.expand import (
     analyze,
@@ -106,3 +109,49 @@ def test_radial_differentiation_is_exactly_skew_with_checkerboard(n, alpha):
     assert np.all(dense + dense.T == 0.0)
     i, j = np.indices(dense.shape)
     assert np.all(dense[(i + j) % 2 == 0] == 0.0)
+
+
+def box_norm2(f, d=2):
+    return inner_product(f, f, InnerProductKind.CARTESIAN, resolution=64, d=d).real
+
+
+@PROPERTY
+@given(scale=st.floats(1e-3, 1e3), N=st.integers(2, 8))
+def test_split_and_expansion_obey_parseval(scale, N):
+    """||f||^2 = ||f0||^2 + ||f1||^2, and the coefficients of f1 hold at most
+    ||f1||^2, on the standard field scaled by s."""
+    f = lambda r, th: scale * (1.0 - np.asarray(r)) * np.exp(np.asarray(r)) \
+        * np.exp(1j * (np.asarray(th) + 0.5))
+    pair = make_pos(f)
+    f_norm2, f1_norm2 = box_norm2(f), box_norm2(pair.f1)
+    assert abs(f_norm2 - box_norm2(pair.f0) - f1_norm2) <= 1e-12 * f_norm2
+    fhat = analyze_disc(pair, BasisSpec(alpha=2.0, beta=2.0, d=2, N=N, K=5)).fhat
+    assert f1_norm2 - np.sum(np.abs(fhat) ** 2) >= -1e-12 * f_norm2
+
+
+def rotation_field(d):
+    """A band-limited field with modes -3..3 in the first angle (and a second
+    angle in d=3) whose origin values all count."""
+    def f(r, *thetas):
+        r, t1 = np.asarray(r), np.asarray(thetas[0])
+        arg = sum(np.exp((0.3 * m - 1.0) * r + 1j * m * (t1 + 0.2 * m)) for m in range(-3, 4))
+        for t in thetas[1:]:
+            arg = arg * np.exp(2j * np.asarray(t))
+        return (1.0 - r) * arg
+    return f
+
+
+@settings(max_examples=10, deadline=None)
+@given(phi=st.floats(-np.pi, np.pi), d=st.sampled_from([2, 3]))
+def test_make_pos_is_rotation_equivariant(phi, d):
+    """theta_1 -> theta_1 + phi maps g_m to g_m e^(i m_1 phi) and keeps c."""
+    f = rotation_field(d)
+    rotated = lambda r, t1, *rest: f(r, np.asarray(t1) + phi, *rest)
+    kw = dict(d=d, k_max=4, n_samples=16)
+    pair, turned = make_pos(f, **kw), make_pos(rotated, **kw)
+    assert list(turned.origin_coeffs) == list(pair.origin_coeffs)
+    assert len(pair.origin_coeffs) == 7
+    for mode, g in pair.origin_coeffs.items():
+        m1 = np.atleast_1d(mode)[0]
+        assert abs(turned.origin_coeffs[mode] - g * np.exp(1j * m1 * phi)) <= 1e-12 * abs(g)
+        assert abs(turned.c[mode] - pair.c[mode]) <= 1e-12 * abs(pair.c[mode])

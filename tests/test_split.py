@@ -9,14 +9,23 @@ from ballspec.jacobi import gauss_jacobi_01
 from ballspec.split import (
     SplitPair,
     SplitReport,
-    Template,
     check_split,
     distinct_phase,
     make_pos,
     raw_pair,
-    template_profile,
     verify_pos,
 )
+
+
+def linear_template(r):
+    return 1.0 - np.asarray(r, dtype=float)
+
+
+def cosine_template(r):
+    return np.cos(0.5 * np.pi * np.asarray(r, dtype=float))
+
+
+TEMPLATES = {"linear": linear_template, "cosine": cosine_template}
 
 
 def standard_field(r, th):
@@ -30,17 +39,20 @@ def worst_residual(rep):
 
 
 def test_linear_template_split_satisfies_all_conditions():
-    pair = make_pos(standard_field, Template.LINEAR)
+    pair = make_pos(standard_field)
     assert worst_residual(verify_pos(pair)) < 1e-12
+    # the default template is 1 - r, bit for bit
+    r = np.linspace(0.0, 1.0, 17)
+    assert np.array_equal(pair.profile(r), linear_template(r))
 
 
 def test_cosine_template_split_satisfies_all_conditions():
-    pair = make_pos(standard_field, Template.COSINE)
+    pair = make_pos(standard_field, cosine_template)
     assert worst_residual(verify_pos(pair)) < 1e-12
 
 
 def test_split_sum_is_pointwise_exact():
-    pair = make_pos(standard_field, Template.LINEAR)
+    pair = make_pos(standard_field)
     rng = np.random.default_rng(0)
     r = rng.uniform(0.0, 1.0, 30)
     th = rng.uniform(-np.pi, np.pi, 30)
@@ -50,10 +62,10 @@ def test_split_sum_is_pointwise_exact():
 
 def test_split_gram_schmidt_coefficient():
     """One Gram-Schmidt step: c = <g T, f - g T> / ||f - g T||^2 per mode."""
-    pair = make_pos(standard_field, Template.LINEAR)
+    pair = make_pos(standard_field)
     assert list(pair.c) == [1]
     g = pair.origin_coeffs[1]
-    T = template_profile(Template.LINEAR)
+    T = linear_template
 
     from ballspec.jacobi import gauss_jacobi_01
     rq, wq = gauss_jacobi_01(64, 0.0, 0.0)
@@ -64,14 +76,14 @@ def test_split_gram_schmidt_coefficient():
 
 
 def test_split_orthogonality_under_box_product():
-    pair = make_pos(standard_field, Template.COSINE)
+    pair = make_pos(standard_field, cosine_template)
     ip = inner_product(pair.f0, pair.f1, InnerProductKind.CARTESIAN, resolution=64)
     assert abs(ip) < 1e-12
 
 
 def test_template_multiple_is_degenerate():
     f = lambda r, th: (1.0 - np.asarray(r)) * np.exp(1j * np.asarray(th))
-    pair = make_pos(f, Template.LINEAR)
+    pair = make_pos(f)
     assert pair.degenerate
     r = np.linspace(0.0, 1.0, 9)
     th = np.zeros(9)
@@ -82,14 +94,20 @@ def test_template_multiple_is_degenerate():
 def test_split_three_dimensional_field():
     f = lambda r, t1, t2: (1.0 - np.asarray(r)) * np.exp(np.asarray(r)) \
         * np.exp(1j * (0.5 + np.asarray(t1) + 2.0 * np.asarray(t2)))
-    pair = make_pos(f, Template.LINEAR, d=3)
+    pair = make_pos(f, d=3)
     assert worst_residual(verify_pos(pair)) < 1e-12
 
 
 def test_custom_template():
     T = lambda r: (1.0 - np.asarray(r)) ** 2
-    pair = make_pos(standard_field, Template.CUSTOM, custom_template=T)
+    pair = make_pos(standard_field, T)
+    assert pair.profile is T
     assert worst_residual(verify_pos(pair)) < 1e-12
+
+
+def test_template_must_be_a_radial_callable():
+    with pytest.raises(UsageError, match="radial callable"):
+        make_pos(standard_field, "cosine")
 
 
 def test_raw_pair_is_trivial():
@@ -117,12 +135,12 @@ def multi_mode_field(r, th):
                            for m in range(-3, 4))
 
 
-@pytest.mark.parametrize("template", [Template.LINEAR, Template.COSINE])
+@pytest.mark.parametrize("template", sorted(TEMPLATES))
 def test_f0_at_split_nodes_equals_resampling_path(template):
     # f0 at make_pos's own radial nodes reuses its samples; the reference
     # re-samples f there and forms g T - c (f_m - g T) in the same mode order
-    pair = make_pos(multi_mode_field, template)
-    T = template_profile(template)
+    T = TEMPLATES[template]
+    pair = make_pos(multi_mode_field, T)
     rq, _ = gauss_jacobi_01(48, 0.0, 0.0)
     fm = angular_dft(multi_mode_field(*np.meshgrid(rq, *angular_grid(2, 64), indexing="ij")),
                      2, 16, mean=True)
@@ -142,10 +160,11 @@ def test_distinct_phase_equals_exp_over_full_mesh():
     t1 = np.concatenate([np.tile(np.linspace(-np.pi, np.pi, 9), 4), [0.0, -0.0],
                          rng.uniform(-np.pi, np.pi, 20)])
     t2 = rng.permutation(np.resize(np.linspace(0.0, np.pi, 5), t1.size))
-    phase = distinct_phase([t1[:, None], np.array([0.5, -0.0, 0.5])[None, :]])
+    t2b = np.array([0.5, -0.0, 0.5])[None, :]
+    phase = distinct_phase([t1[:, None], t2b])
     for m in (-7, 0, 3):
-        want = np.exp(1j * m * np.broadcast_to(t1[:, None], (t1.size, 3)))
-        assert np.array_equal(phase(m), want)
+        want = np.exp(1j * (m * t1[:, None] + 2.0 * 0 * t2b))
+        assert np.array_equal(phase((m, 0)), want)
     phase = distinct_phase([t1, t2])
     for k1, k2 in [(-2, 3), (0, 0), (4, -1)]:
         want = np.exp(1j * (k1 * t1 + 2.0 * k2 * t2))
@@ -182,15 +201,15 @@ def test_split_report_worst_is_the_largest_residual():
 
 def test_tiny_field_keeps_its_origin_mode():
     s = 1e-16
-    pair = make_pos(lambda r, th: s * standard_field(r, th), Template.LINEAR)
+    pair = make_pos(lambda r, th: s * standard_field(r, th))
     assert list(pair.c) == [1]
     assert verify_pos(pair).origin_residual / s < 1e-12
 
 
 @pytest.mark.parametrize("s", [1e-16, 1e-8, 1e4])
 def test_split_coefficient_is_scale_invariant(s):
-    c = make_pos(standard_field, Template.LINEAR).c
-    scaled = make_pos(lambda r, th: s * standard_field(r, th), Template.LINEAR).c
+    c = make_pos(standard_field).c
+    scaled = make_pos(lambda r, th: s * standard_field(r, th)).c
     assert list(scaled) == list(c)
     assert abs(scaled[1] - c[1]) <= 1e-12 * abs(c[1])
 
@@ -235,12 +254,12 @@ def _zero_field(r, *thetas):
 
 
 SPLIT_CASES = {
-    "linear": lambda: make_pos(standard_field, Template.LINEAR),
-    "cosine": lambda: make_pos(standard_field, Template.COSINE),
-    "multi_mode": lambda: make_pos(multi_mode_field, Template.COSINE),
-    "scaled": lambda: make_pos(lambda r, th: 1e4 * standard_field(r, th), Template.LINEAR),
-    "ball3d": lambda: make_pos(field_3d, Template.LINEAR, d=3),
-    "degenerate": lambda: make_pos(degenerate_field, Template.LINEAR),
+    "linear": lambda: make_pos(standard_field),
+    "cosine": lambda: make_pos(standard_field, cosine_template),
+    "multi_mode": lambda: make_pos(multi_mode_field, cosine_template),
+    "scaled": lambda: make_pos(lambda r, th: 1e4 * standard_field(r, th)),
+    "ball3d": lambda: make_pos(field_3d, d=3),
+    "degenerate": lambda: make_pos(degenerate_field),
     "raw": lambda: raw_pair(standard_field),
     "raw_3d": lambda: raw_pair(field_3d, d=3),
 }
@@ -277,7 +296,7 @@ def test_residual_part_is_f_minus_f0_bit_for_bit(case):
 
 @pytest.mark.parametrize("d, field", [(2, standard_field), (3, field_3d)])
 def test_verify_pos_samples_each_field_once_per_mesh(d, field):
-    pair = make_pos(field, Template.LINEAR, d=d)
+    pair = make_pos(field, d=d)
     shapes = {"f": [], "f0": []}
 
     def counted(name, fn):
