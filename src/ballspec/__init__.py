@@ -18,7 +18,6 @@ from .jacobi import (
 from .basis import (
     BasisSpec,
     BasisKind,
-    InnerProductKind,
     UsageError,
     inner_product,
 )

@@ -39,11 +39,6 @@ class BasisKind(Enum):
     EX1_WEIGHTED = "ex1_weighted"
 
 
-class InnerProductKind(Enum):
-    CARTESIAN = "cartesian"  # plain box measure dr dtheta
-    POLAR = "polar"          # disc measure r dr dtheta
-
-
 class UsageError(BallspecError, ValueError):
     pass
 
@@ -68,6 +63,8 @@ class BasisSpec:
             raise UsageError("weighted basis needs alpha, beta > -1")
         if self.kind is BasisKind.EX1_WEIGHTED and self.alpha <= 1.0:
             raise UsageError("the r-weighted family needs alpha > 1")
+        if self.kind is BasisKind.EX1_WEIGHTED and self.d != 2:
+            raise UsageError(f"the r-weighted family exists on the disc only, got d={self.d}")
         if self.d > 2 and self.beta != self.alpha:
             raise UsageError("ball bases require beta == alpha")
 
@@ -278,8 +275,7 @@ def distinct_phase(thetas):
 
 # -- inner products ---------------------------------------------------------
 
-def inner_product(f, g, kind: InnerProductKind = InnerProductKind.CARTESIAN,
-                  resolution: int = 48, d: int = 2) -> complex:
+def inner_product(f, g, resolution: int = 48, d: int = 2) -> complex:
     """Quadrature inner product of two fields over the coordinate box.
 
     Fields are callables f(r, *theta), or arrays of their samples on the
@@ -291,11 +287,7 @@ def inner_product(f, g, kind: InnerProductKind = InnerProductKind.CARTESIAN,
     """
     if resolution < 1:
         raise UsageError(f"resolution must be >= 1, got {resolution}")
-    if kind is InnerProductKind.POLAR and d != 2:
-        raise UsageError("polar inner product implemented for d=2 only")
     r, w = gauss_jacobi_01(resolution, 0.0, 0.0)
-    if kind is InnerProductKind.POLAR:
-        w = w * r
     if callable(f) or callable(g):
         mesh = np.meshgrid(r, *angular_grid(d, resolution), indexing="ij")
         f, g = (h(*mesh) if callable(h) else h for h in (f, g))

@@ -30,7 +30,7 @@ from .jacobi import (
     orthonormal_all,
     orthonormal_deriv_all,
 )
-from .basis import BasisSpec, InnerProductKind, UsageError, ex1_radial, inner_product
+from .basis import BasisSpec, UsageError, ex1_radial, inner_product
 from .semisep import SemiSep2
 
 #: d/dr action of the reference-interval radial matrix is this multiple of it.
@@ -228,7 +228,7 @@ def compound_radial(ops: DiffOpSet, h, dh_dr) -> complex:
     coupling blocks are taken as zero (block-diagonal generator).
     """
     dim = ops.spec.d
-    nrm2 = inner_product(h, h, InnerProductKind.CARTESIAN, resolution=64, d=dim).real
+    nrm2 = inner_product(h, h, resolution=64, d=dim).real
     if abs(nrm2 - 1.0) > 1e-8:
         raise UsageError(f"affine direction must have unit norm, got ||h||^2 = {nrm2}")
-    return complex(inner_product(dh_dr, h, InnerProductKind.CARTESIAN, resolution=64, d=dim))
+    return complex(inner_product(dh_dr, h, resolution=64, d=dim))

@@ -130,9 +130,7 @@ def _radial_family(spec: BasisSpec, r):
     degrees = range(spec.N + 1)
     if spec.kind is BasisKind.WFUNC:
         return wfunc_radial(spec, degrees, r), 1.0
-    if spec.kind is BasisKind.EX1_WEIGHTED and spec.d == 2:
-        return ex1_radial(degrees, spec.alpha, r), (2.0 * np.pi) ** -0.5
-    raise UsageError(f"no synthesis for {spec.kind.value} coefficients in d={spec.d}")
+    return ex1_radial(degrees, spec.alpha, r), (2.0 * np.pi) ** -0.5
 
 
 def _synthesize(coeffs: CoeffTensor, r, thetas) -> np.ndarray:

@@ -5,12 +5,13 @@ Per Fourier mode m, the generator is assembled from the bordered radial
 operator E_r = diag(d, Dr), with the border scalar d of
 diffmat.compound_radial, and the angular operator E_t = i*m*I as
 
-    L_m = -(E_r^* E_r + E_t^* E_t),
+    L_m = -(E_r^* E_r + E_t^* E_t) = -diag(|d|^2, C) - m^2 I,
 
-a Hermitian negative semidefinite block.  Diffusion propagates with
-exp(t L), which is contractive; the Schrodinger flow exp(i t L) is exactly
-unitary.  The conjugate transpose is used throughout so that both physical
-contracts hold by construction.
+a Hermitian negative semidefinite block with the real radial core
+C = (2 Dr)^T (2 Dr) shared by every mode.  So one exponential of the core
+serves all modes, each scaled by its scalar exp(-s t m^2), and the affine
+slot is a scalar of its own.  Diffusion (s = 1) is contractive; the
+Schrodinger flow (s = i) is exactly unitary.
 """
 
 from __future__ import annotations
@@ -33,71 +34,83 @@ class PdeKind(Enum):
 
 @dataclass
 class SemidiscreteOp:
-    """Per-mode Hermitian generator blocks; slot 0 of each block is affine."""
+    """The radial core C, the border scalar d and the modes -K..K.
 
-    mode_blocks: dict
+    A stacked vector holds one segment of length N + 2 per mode, in the
+    order -K..K; slot 0 of each segment is affine.
+    """
+
+    core: np.ndarray
     d_scalar: complex
+    K: int
     kind: PdeKind
 
     @property
     def modes(self):
-        return sorted(self.mode_blocks)
+        return list(range(-self.K, self.K + 1))
 
     @property
     def total_size(self):
-        return sum(b.shape[0] for b in self.mode_blocks.values())
+        return (2 * self.K + 1) * (self.core.shape[0] + 1)
+
+    def block(self, m: int) -> np.ndarray:
+        """Dense Hermitian generator L_m of mode m, for checks and oracles."""
+        n = self.core.shape[0]
+        gen = np.zeros((n + 1, n + 1), dtype=complex)
+        gen[0, 0] = -(abs(self.d_scalar) ** 2 + m * m)
+        gen[1:, 1:] = -(self.core + m * m * np.eye(n))
+        return gen
 
 
 def assemble(kind: PdeKind, ops: DiffOpSet, d_scalar: complex) -> SemidiscreteOp:
-    """Hermitian semidiscrete generator from a certified operator set and the
-    border scalar d, one block per mode -K..K of ops.spec."""
+    """Semidiscrete generator of the disc from a certified operator set and
+    the border scalar d, for the modes -K..K of ops.spec."""
     if not ops.spec.skew_certified:
         raise UsageError(
             "refusing to assemble from a non-certified basis: the radial "
             "matrix is skew symmetric only for alpha = beta > 0"
         )
-    d = complex(d_scalar)
+    if ops.spec.d != 2:
+        raise UsageError(f"the generator is assembled for d=2 only, got d={ops.spec.d}")
     dr = RADIAL_SCALE * ops.Dr.to_dense()
-    radial_core = dr.T @ dr  # = -Dr^2, positive semidefinite for skew Dr
-    n1 = dr.shape[0] + 1
-    blocks = {}
-    for m in range(-ops.spec.K, ops.spec.K + 1):
-        block = np.zeros((n1, n1), dtype=complex)
-        block[0, 0] = -(abs(d) ** 2 + m * m)
-        block[1:, 1:] = -(radial_core + m * m * np.eye(dr.shape[0]))
-        blocks[m] = block
-    return SemidiscreteOp(mode_blocks=blocks, d_scalar=d, kind=kind)
+    # = -Dr^2, positive semidefinite for skew Dr
+    return SemidiscreteOp(core=dr.T @ dr, d_scalar=complex(d_scalar), K=ops.spec.K, kind=kind)
 
 
-def split_by_mode(op: SemidiscreteOp, v: np.ndarray):
-    """Slice a stacked coefficient vector into per-mode segments."""
+def _segments(op: SemidiscreteOp, v) -> np.ndarray:
+    """The stacked vector v as one row per mode."""
     v = np.asarray(v)
     if v.shape != (op.total_size,):
         raise UsageError(f"vector length {v.shape} != {op.total_size}")
-    out = {}
-    start = 0
-    for m in op.modes:
-        n = op.mode_blocks[m].shape[0]
-        out[m] = v[start:start + n]
-        start += n
-    return out
+    return v.reshape(2 * op.K + 1, -1)
+
+
+def split_by_mode(op: SemidiscreteOp, v: np.ndarray):
+    """Slice a stacked coefficient vector into per-mode segments (views)."""
+    return dict(zip(op.modes, _segments(op, v)))
 
 
 def propagate(op: SemidiscreteOp, v: np.ndarray, t: float) -> np.ndarray:
-    """Exact flow of the semidiscrete system over time t.
+    """Exact flow exp(s t L) of the semidiscrete system over time t.
 
-    Diffusion uses exp(t L); Schrodinger uses exp(i t L) and is valid for
-    negative t as well.
+    Diffusion (s = 1) needs t >= 0; Schrodinger (s = i) is valid for
+    negative t as well.  One expm of the core serves every mode: mode m is
+    exp(-s t C) scaled by exp(-s t m^2), and its affine slot is the scalar
+    exp(-s t (|d|^2 + m^2)).
     """
+    t = float(t)
+    if not np.isfinite(t):
+        raise UsageError(f"propagation time must be finite, got {t}")
     if op.kind is PdeKind.DIFFUSION and t < 0.0:
         raise UsageError("diffusion flow is defined for t >= 0 only")
-    segments = split_by_mode(op, v)
-    out = []
-    for m in op.modes:
-        gen = op.mode_blocks[m]
-        gen = 1j * gen if op.kind is PdeKind.SCHRODINGER else gen
-        out.append(scipy.linalg.expm(t * gen) @ segments[m].astype(complex))
-    return np.concatenate(out)
+    s = 1j if op.kind is PdeKind.SCHRODINGER else 1.0
+    rows = _segments(op, v)
+    m2 = np.arange(-op.K, op.K + 1) ** 2
+    flow = scipy.linalg.expm(-s * t * op.core)
+    out = np.empty(rows.shape, dtype=complex)
+    out[:, 0] = np.exp(-s * t * (abs(op.d_scalar) ** 2 + m2)) * rows[:, 0]
+    out[:, 1:] = np.exp(-s * t * m2)[:, None] * (rows[:, 1:] @ flow.T)
+    return out.ravel()
 
 
 def norm_bound(op: SemidiscreteOp, t: float) -> float:
@@ -108,13 +121,9 @@ def norm_bound(op: SemidiscreteOp, t: float) -> float:
 
 
 def spectral_abscissa(op: SemidiscreteOp) -> float:
-    """Largest real part over the eigenvalues of all generator blocks."""
-    worst = -np.inf
-    for m in op.modes:
-        gen = op.mode_blocks[m]
-        gen = 1j * gen if op.kind is PdeKind.SCHRODINGER else gen
-        worst = max(worst, float(np.max(np.real(np.linalg.eigvals(gen)))))
-    return worst
+    """Largest real part over the eigenvalues of all dense generator blocks."""
+    s = 1j if op.kind is PdeKind.SCHRODINGER else 1.0
+    return max(float(np.max(np.real(np.linalg.eigvals(s * op.block(m))))) for m in op.modes)
 
 
 @dataclass

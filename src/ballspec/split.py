@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (InnerProductKind, UsageError, angular_dft, angular_grid, distinct_phase,
+from .basis import (UsageError, angular_dft, angular_grid, distinct_phase,
                     distinct_radii, inner_product)
 from .jacobi import gauss_jacobi_01
 
@@ -222,7 +222,7 @@ def verify_pos(pair: SplitPair) -> SplitReport:
     o, o0, o1 = sample(np.meshgrid(np.array([0.0]), *grids, indexing="ij"))
     origin = max(float(np.max(np.abs(o1))), float(np.max(np.abs(o0 - o))))
     _, q0, q1 = sample(np.meshgrid(rq, *angular_grid(pair.d, N_RADIAL), indexing="ij"))
-    ortho = abs(inner_product(q0, q1, InnerProductKind.CARTESIAN, resolution=N_RADIAL,
+    ortho = abs(inner_product(q0, q1, resolution=N_RADIAL,
                               d=pair.d))
     return SplitReport(sum_residual=sum_res, boundary_residual=boundary,
                        origin_residual=origin, orthogonality_residual=float(ortho),

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from ballspec.basis import (
     BasisKind,
     BasisSpec,
-    InnerProductKind,
     UsageError,
     angular_dft,
     angular_grid,
@@ -85,7 +84,7 @@ def test_ball_basis_orthonormal_d3():
     f_a = field(2, (1, 2))
     f_b = field(1, (1, 2))
     f_c = field(2, (0, 2))
-    norm = inner_product(f_a, f_a, InnerProductKind.CARTESIAN, d=3, resolution=32)
+    norm = inner_product(f_a, f_a, d=3, resolution=32)
     assert norm.real == pytest.approx(1.0, abs=1e-10)
     assert abs(inner_product(f_a, f_b, d=3, resolution=32)) < 1e-10
     assert abs(inner_product(f_a, f_c, d=3, resolution=32)) < 1e-10
@@ -168,12 +167,10 @@ def test_spec_validation():
     assert not BasisSpec(alpha=2.0, beta=0.0).skew_certified
 
 
-def test_inner_product_polar_vs_cartesian():
+def test_inner_product_box_measure():
     f = lambda r, th: (1.0 - np.asarray(r)) * np.ones_like(np.asarray(th))
-    box = inner_product(f, f, InnerProductKind.CARTESIAN).real
-    disc = inner_product(f, f, InnerProductKind.POLAR).real
+    box = inner_product(f, f).real
     assert box == pytest.approx(2.0 * np.pi / 3.0, rel=1e-12)
-    assert disc == pytest.approx(2.0 * np.pi / 12.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("family", ["wfunc", "ball", "ex1"])

@@ -92,9 +92,8 @@ def test_headline_accuracy_77_coefficients():
 
 def test_parseval_inequality_and_gap():
     pair = make_pos(standard_field)
-    from ballspec.basis import InnerProductKind, inner_product
-    f1_norm2 = inner_product(pair.f1, pair.f1, InnerProductKind.CARTESIAN,
-                             resolution=64).real
+    from ballspec.basis import inner_product
+    f1_norm2 = inner_product(pair.f1, pair.f1, resolution=64).real
     prev_gap = None
     for n_trunc in (2, 4, 6):
         spec = BasisSpec(alpha=2.0, beta=2.0, d=2, N=n_trunc, K=5)
@@ -114,9 +113,8 @@ def test_adjoint_consistency_on_random_tensor():
     from ballspec.expand import CoeffTensor
     tensor = CoeffTensor(fhat=c, fcirc={}, spec=spec, pair=None)
     g = basis_field(spec, 2, -1)
-    from ballspec.basis import InnerProductKind, inner_product
-    lhs = inner_product(lambda r, th: synthesize(tensor, r, th), g,
-                        InnerProductKind.CARTESIAN, resolution=64)
+    from ballspec.basis import inner_product
+    lhs = inner_product(lambda r, th: synthesize(tensor, r, th), g, resolution=64)
     ghat = analyze_disc(raw_pair(g), spec, check=False).fhat
     rhs = np.sum(c * np.conj(ghat))
     assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -293,18 +291,19 @@ def test_synthesize_dispatches_on_the_polar_family():
 
 
 def test_synthesize_refuses_polar_family_coefficients_off_the_disc():
-    spec = BasisSpec(alpha=2.0, beta=2.0, d=3, N=3, K=1, kind=BasisKind.EX1_WEIGHTED)
-    coeffs = CoeffTensor(fhat=np.ones((4, 3, 3), dtype=complex), fcirc={}, spec=spec)
-    with pytest.raises(UsageError, match="ex1_weighted"):
-        synthesize(coeffs, 0.5, 0.1, 0.2)
+    # the r-weighted family exists only on the disc, so its spec refuses d=3
+    # and no such coefficients can reach synthesis
+    with pytest.raises(UsageError, match="disc only"):
+        BasisSpec(alpha=2.0, beta=2.0, d=3, N=3, K=1, kind=BasisKind.EX1_WEIGHTED)
 
 
 @pytest.mark.parametrize("kind", [BasisKind.EX1_WEIGHTED])
 def test_analyze_ball3_refuses_other_families(kind):
-    spec = BasisSpec(alpha=2.0, beta=2.0, d=3, N=3, K=2, kind=kind)
-    field = lambda r, t1, t2: np.zeros(np.broadcast(r, t1, t2).shape)
+    # the only other family is the disc's, so the refusal is seen on d=2
+    spec = BasisSpec(alpha=2.0, beta=2.0, d=2, N=3, K=2, kind=kind)
+    field = lambda r, t: np.zeros(np.broadcast(r, t).shape)
     with pytest.raises(UsageError, match="weighted basis"):
-        analyze_ball3(raw_pair(field, d=3), spec, check=False)
+        analyze(raw_pair(field), spec, check=False)
 
 
 def counted(f):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ballspec.basis import BasisSpec, UsageError
 from ballspec.diffmat import build_diff_ops, compound_radial
@@ -33,7 +34,7 @@ SPEC = BasisSpec(alpha=2.0, beta=2.0, d=2, N=8, K=2)
 def test_blocks_are_hermitian_and_negative_semidefinite():
     ops, comp = linear_compound(SPEC)
     op = assemble(PdeKind.DIFFUSION, ops, comp)
-    for block in op.mode_blocks.values():
+    for block in map(op.block, op.modes):
         assert np.max(np.abs(block - block.conj().T)) < 1e-12
         assert np.max(np.linalg.eigvalsh(block)) < 1e-10
 
@@ -42,11 +43,11 @@ def test_angular_mode_shifts_diagonal():
     ops, comp = linear_compound(SPEC)
     op = assemble(PdeKind.DIFFUSION, ops, comp)
     # one block per mode -K..K of the spec, in that order
-    assert list(op.mode_blocks) == list(range(-SPEC.K, SPEC.K + 1))
-    b0 = op.mode_blocks[0]
-    for m in op.mode_blocks:
+    assert op.modes == list(range(-SPEC.K, SPEC.K + 1))
+    b0 = op.block(0)
+    for m in op.modes:
         # the angular derivative acts as i*m, so mode m shifts the diagonal by -m^2
-        shift = op.mode_blocks[m] - b0
+        shift = op.block(m) - b0
         assert np.max(np.abs(shift - np.diag(np.diag(shift)))) < 1e-12
         assert np.allclose(np.diag(shift), -float(m * m), atol=1e-12)
 
@@ -54,7 +55,7 @@ def test_angular_mode_shifts_diagonal():
 def test_schrodinger_generator_is_skew_hermitian():
     ops, comp = linear_compound(SPEC)
     op = assemble(PdeKind.SCHRODINGER, ops, comp)
-    for block in op.mode_blocks.values():
+    for block in map(op.block, op.modes):
         gen = 1j * block
         assert np.max(np.abs(gen + gen.conj().T)) < 1e-12
 
@@ -66,6 +67,13 @@ def test_assemble_refuses_uncertified_basis():
     fake = DiffOpSet(Dr=good_ops.Dr, spec=bad)
     with pytest.raises(UsageError):
         assemble(PdeKind.DIFFUSION, fake, comp)
+
+
+def test_assemble_refuses_other_dimensions():
+    # the shift -m^2 is that of the disc's modes; a d=3 spec has (k1, k2) modes
+    spec = BasisSpec(alpha=2.0, beta=2.0, d=3, N=4, K=1)
+    with pytest.raises(UsageError, match="d=2"):
+        assemble(PdeKind.DIFFUSION, build_diff_ops(spec), -1.5)
 
 
 def test_propagate_identity_at_t_zero():
@@ -81,6 +89,27 @@ def test_diffusion_rejects_negative_time():
     op = assemble(PdeKind.DIFFUSION, ops, comp)
     with pytest.raises(UsageError):
         propagate(op, np.zeros(op.total_size), -1.0)
+
+
+@pytest.mark.parametrize("kind", list(PdeKind))
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_propagate_refuses_non_finite_time(kind, t):
+    ops, comp = linear_compound(SPEC)
+    op = assemble(kind, ops, comp)
+    with pytest.raises(UsageError, match="finite"):
+        propagate(op, np.ones(op.total_size), t)
+
+
+@pytest.mark.parametrize("K", [0, 4])
+@pytest.mark.parametrize("kind", list(PdeKind))
+def test_propagate_makes_one_expm_call_for_all_modes(monkeypatch, kind, K):
+    ops, comp = linear_compound(BasisSpec(alpha=2.0, beta=2.0, d=2, N=8, K=K))
+    op = assemble(kind, ops, comp)
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
+    propagate(op, np.ones(op.total_size), 0.5)
+    assert calls == [(9, 9)]
 
 
 def test_schrodinger_unitary_both_time_directions():

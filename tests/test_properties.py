@@ -4,17 +4,19 @@ Each family is analysed by the same core, so one basis function must come
 back as its unit indicator and synthesize back to itself, whatever the
 family, truncation and exponent.  The exponents are even integers: then the
 Gauss-Jacobi rule sees a polynomial and analysis is exact to rounding.  The
-split obeys Parseval and commutes with rotations in the first angle, and the
-radial matrix keeps its structure.
+split obeys Parseval and commutes with rotations in the first angle, the
+radial matrix keeps its structure, and the one-core flow equals the dense
+exponential of every mode's block.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from ballspec.basis import (BasisSpec, InnerProductKind, UsageError, ball_phase, ball_radial,
+from ballspec.basis import (BasisSpec, UsageError, ball_phase, ball_radial,
                             ex1_radial, inner_product, wfunc_radial)
-from ballspec.diffmat import build_Dr
+from ballspec.diffmat import build_diff_ops, build_Dr
 from ballspec.expand import (
     analyze,
     analyze_disc,
@@ -22,6 +24,7 @@ from ballspec.expand import (
     standard_grid,
     synthesize,
 )
+from ballspec.pde import PdeKind, assemble, propagate
 from ballspec.semisep import SemiSep2
 from ballspec.split import make_pos, raw_pair, verify_pos
 
@@ -111,8 +114,27 @@ def test_radial_differentiation_is_exactly_skew_with_checkerboard(n, alpha):
     assert np.all(dense[(i + j) % 2 == 0] == 0.0)
 
 
+@PROPERTY
+@given(N=st.integers(2, 24), K=st.integers(0, 4), kind=st.sampled_from(list(PdeKind)),
+       t=st.floats(-10.0, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_propagate_equals_per_mode_dense_expm(N, K, kind, t, seed):
+    """The shared-core flow equals expm(s t L_m) of each dense block, s = 1
+    (diffusion, t >= 0) or i (Schrodinger, either sign of t)."""
+    s = 1j if kind is PdeKind.SCHRODINGER else 1.0
+    t = t if kind is PdeKind.SCHRODINGER else abs(t)
+    op = assemble(kind, build_diff_ops(BasisSpec(alpha=2.0, beta=2.0, d=2, N=N, K=K)), -1.5)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(op.total_size) + 1j * rng.standard_normal(op.total_size)
+    v /= np.linalg.norm(v)
+    rows = v.reshape(2 * K + 1, N + 2)
+    dense = np.concatenate([scipy.linalg.expm(s * t * op.block(m)) @ row
+                            for m, row in zip(op.modes, rows)])
+    # both flows are contractions, so the norm of v bounds either result
+    assert np.linalg.norm(propagate(op, v, t) - dense) <= 1e-9
+
+
 def box_norm2(f, d=2):
-    return inner_product(f, f, InnerProductKind.CARTESIAN, resolution=64, d=d).real
+    return inner_product(f, f, resolution=64, d=d).real
 
 
 @PROPERTY

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ballspec.basis import (InnerProductKind, UsageError, angular_dft, angular_grid, ball_phase,
+from ballspec.basis import (UsageError, angular_dft, angular_grid, ball_phase,
                             cell_measures, distinct_radii, inner_product)
 from ballspec.jacobi import gauss_jacobi_01
 from ballspec.split import (
@@ -77,7 +77,7 @@ def test_split_gram_schmidt_coefficient():
 
 def test_split_orthogonality_under_box_product():
     pair = make_pos(standard_field, cosine_template)
-    ip = inner_product(pair.f0, pair.f1, InnerProductKind.CARTESIAN, resolution=64)
+    ip = inner_product(pair.f0, pair.f1, resolution=64)
     assert abs(ip) < 1e-12
 
 
