@@ -41,9 +41,10 @@ for i, v in enumerate(nz):
 slope = np.polyfit(1.0 + np.arange(len(nz)), np.log(nz), 1)[0]
 print(f"log-linear slope {slope:.3f}")
 
-# d = 4: 8 samples per angular axis resolve the modes up to |k| = 2; the
-# split's own verification samples a 48^4 mesh, so it is skipped here
-pair4 = make_pos(f, d=4, k_max=2, n_samples=8)
+# d = 4: make_pos samples 4 k_max = 8 angles per axis for the modes up to
+# |k| = 2; the split's own verification samples a 48^4 mesh, so it is
+# skipped here
+pair4 = make_pos(f, d=4, k_max=2)
 print(f"\nd = 4: c = {pair4.c}")
 for N in (4, 6, 8):
     spec4 = BasisSpec(alpha=2.0, beta=2.0, d=4, N=N, K=1)

@@ -12,7 +12,8 @@ Fourier phase ball_phase:
 Normalisation constants are fixed here so that each family is orthonormal
 under its declared inner product; this is certified by test rather than
 carried over from any printed prefactor.  The angular convention (grid, cell
-measures, centred DFT and phase) is also defined here, for every module.
+measures, centred DFT and phase) and the sampling of fields on open tensor
+meshes (on_mesh) are also defined here, for every module.
 """
 
 from __future__ import annotations
@@ -190,11 +191,11 @@ def angular_dft(values, d: int, k_max: int, mean: bool = False) -> dict:
             coef = coef * s
     k1s = np.fft.fftfreq(shape[0], d=1.0 / shape[0]).astype(int)
     coef = coef * np.exp(1j * k1s * np.pi).reshape((-1,) + (1,) * (d - 2))
-    # one gather of every mode's column; the meshgrid's "ij" order is the
-    # flat order of angular_modes
+    # one gather of every mode's column; the "ij" order of the open mesh,
+    # flattened, is the flat order of angular_modes
     ks = np.arange(-k_max, k_max + 1)
-    index = tuple(ix.ravel() for ix in np.meshgrid(*[ks % n for n in shape], indexing="ij"))
-    cols = coef[(...,) + index]
+    cols = coef[(...,) + tuple(np.meshgrid(*[ks % n for n in shape], indexing="ij", sparse=True))]
+    cols = cols.reshape(cols.shape[:values.ndim - (d - 1)] + (-1,))
     return {mode: cols[..., j] for j, mode in enumerate(angular_modes(d, k_max))}
 
 
@@ -215,62 +216,21 @@ def ball_phase(mode, theta):
     return np.exp(1j * arg)
 
 
-def _distinct(a: np.ndarray, bits: bool = False):
-    """(u, idx, axis): np.unique(a.ravel(), return_inverse=True), with idx
-    shaped to broadcast against a.
+def on_mesh(f, *axes) -> np.ndarray:
+    """f sampled on the tensor mesh of the 1-D axes (indexing "ij").
 
-    bits=True tells values apart by their bit patterns.  When a is constant,
-    bit for bit, along every axis but one (a meshgrid coordinate), only its
-    line along that axis is sorted, and axis names it; otherwise axis is
-    None and every entry is sorted.
+    f is called once on the open mesh, np.meshgrid(..., sparse=True), so a
+    field that broadcasts its coordinates does its work per axis entry where
+    it can; the result is broadcast to the full mesh shape.  A result that
+    does not broadcast to that shape raises UsageError.
     """
-    src, axis = a, None
-    pattern = a.view(np.int64)
-    for ax in range(a.ndim):
-        cut = tuple(slice(None) if i == ax else slice(0, 1) for i in range(a.ndim))
-        if (pattern == pattern[cut]).all():
-            src, axis = a[cut], ax
-            break
-    u, idx = np.unique((src.view(np.int64) if bits else src).ravel(), return_inverse=True)
-    return (u.view(a.dtype) if bits else u), idx.reshape(src.shape), axis
-
-
-def distinct_radii(r: np.ndarray):
-    """np.unique(r.ravel(), return_inverse=True) for a float array r; a
-    tensor-mesh coordinate is sorted along its line, not point by point."""
-    ru, idx, _ = _distinct(r)
-    return ru, np.broadcast_to(idx, r.shape).ravel()
-
-
-def distinct_phase(thetas):
-    """mode -> ball_phase(mode, thetas) on the broadcast mesh of the angle arrays.
-
-    The exponential is taken once per distinct angle tuple and gathered back
-    onto the mesh, so a tensor grid costs one exp per angle, not per point.
-    Tuples are told apart by their bit patterns, so each entry equals the
-    full-mesh phase bit for bit.  When each angle array is a tensor-mesh
-    coordinate of its own axis, every combination of the axes' distinct
-    angles occurs, so the tuples are found without sorting the mesh.
-    """
-    arrays = np.broadcast_arrays(*thetas)
-    shape = arrays[0].shape
-    key, uniques, axes = 0, [], set()
-    for t in arrays:
-        u, idx, axis = _distinct(t, bits=True)
-        key = key * u.size + idx
-        uniques.append(u)
-        axes.add(axis)
-    if None not in axes and len(axes) == len(arrays):
-        # key (i1, i2, ...) = i1 n2 n3 ... + i2 n3 ... + ...: every key occurs
-        digits = np.meshgrid(*[np.arange(u.size) for u in uniques], indexing="ij")
-        distinct = [u[k.ravel()] for u, k in zip(uniques, digits)]
-        inv = np.broadcast_to(key, shape)
-    else:
-        _, first, inv = np.unique(np.broadcast_to(key, shape).ravel(),
-                                  return_index=True, return_inverse=True)
-        distinct = [t.ravel()[first] for t in arrays]
-        inv = inv.reshape(shape)
-    return lambda mode: ball_phase(mode, distinct)[inv]
+    shape = tuple(np.size(a) for a in axes)
+    vals = f(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    try:
+        return np.broadcast_to(vals, shape)
+    except ValueError:
+        raise UsageError(f"a field sampled on a {shape} mesh returned shape "
+                         f"{np.shape(vals)}") from None
 
 
 # -- inner products ---------------------------------------------------------
@@ -278,8 +238,9 @@ def distinct_phase(thetas):
 def inner_product(f, g, resolution: int = 48, d: int = 2) -> complex:
     """Quadrature inner product of two fields over the coordinate box.
 
-    Fields are callables f(r, *theta), or arrays of their samples on the
-    mesh of the rule: the resolution Gauss-Legendre radii of
+    Fields are callables f(r, *theta) accepting broadcastable coordinate
+    arrays, sampled once on the open mesh of the rule (on_mesh), or arrays
+    of their samples on that mesh: the resolution Gauss-Legendre radii of
     gauss_jacobi_01(resolution, 0, 0) times angular_grid(d, resolution),
     indexing "ij".  Angular directions use equispaced
     (trapezoidal) sampling, exact for trigonometric integrands of bandwidth
@@ -288,9 +249,8 @@ def inner_product(f, g, resolution: int = 48, d: int = 2) -> complex:
     if resolution < 1:
         raise UsageError(f"resolution must be >= 1, got {resolution}")
     r, w = gauss_jacobi_01(resolution, 0.0, 0.0)
-    if callable(f) or callable(g):
-        mesh = np.meshgrid(r, *angular_grid(d, resolution), indexing="ij")
-        f, g = (h(*mesh) if callable(h) else h for h in (f, g))
+    axes = (r, *angular_grid(d, resolution))
+    f, g = (on_mesh(h, *axes) if callable(h) else h for h in (f, g))
     # np.multiply keeps the operand order f * conj(g): with a temporary right
     # operand, `*` may reuse its buffer and swap the operands, and a fused
     # complex product is not bit-for-bit commutative

@@ -25,9 +25,9 @@ from .basis import (
     angular_dft,
     angular_grid,
     angular_modes,
-    distinct_phase,
-    distinct_radii,
+    ball_phase,
     ex1_radial,
+    on_mesh,
     wfunc_radial,
 )
 from .jacobi import JacobiParams, gauss_jacobi_01, orthonormal_all
@@ -69,14 +69,14 @@ def flatten_index(n: int, m: int, spec: BasisSpec) -> int:
 def _analyze(pair: SplitPair, spec: BasisSpec, weight, table, scale) -> np.ndarray:
     """fhat[:, mode] = scale * (table(r) @ (w * F_mode(r))) over the flat modes.
 
-    pair.f is sampled once, on the Gauss-Jacobi rule for the radial weight
-    (1-r)^weight[0] r^weight[1] times the angular grid; F_mode is the
-    angular integral of f1, mapped from that of f by the split, and
-    table(r) the (N+1, nodes) radial factor.
+    pair.f is sampled once, on the open mesh of the Gauss-Jacobi rule for
+    the radial weight (1-r)^weight[0] r^weight[1] times the angular grid;
+    F_mode is the angular integral of f1, mapped from that of f by the
+    split, and table(r) the (N+1, nodes) radial factor.
     """
     r, w = gauss_jacobi_01(spec.N + QUAD_PAD, *weight)
-    mesh = np.meshgrid(r, *angular_grid(spec.d, max(2 * spec.K + 2, 16)), indexing="ij")
-    F = pair.residual_coeffs(angular_dft(pair.f(*mesh), spec.d, spec.K), r,
+    samples = on_mesh(pair.f, r, *angular_grid(spec.d, max(2 * spec.K + 2, 16)))
+    F = pair.residual_coeffs(angular_dft(samples, spec.d, spec.K), r,
                              2.0 * np.pi ** (spec.d - 1))
     rad = table(r)
     fhat = np.empty((spec.N + 1, (2 * spec.K + 1) ** (spec.d - 1)), dtype=complex)
@@ -138,19 +138,19 @@ def _synthesize(coeffs: CoeffTensor, r, thetas) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     thetas = [np.asarray(t, dtype=float) for t in thetas]
     out = np.zeros(np.broadcast(r, *thetas).shape, dtype=complex)
-    ru, inv = distinct_radii(np.atleast_1d(r))
-    rad, scale = _radial_family(spec, ru)
-    # mode -> radial profile at the distinct radii; a split mode is g T + f1 / (1 + c)
+    rad, scale = _radial_family(spec, r)
+    rad = rad.reshape(spec.N + 1, -1)
+    # mode -> radial profile at r's shape; a split mode is g T + f1 / (1 + c)
     cols = coeffs.fhat.reshape(spec.N + 1, -1).T
-    profiles = {mode: scale * (col @ rad) for mode, col in
+    profiles = {mode: scale * (col @ rad).reshape(r.shape) for mode, col in
                 zip(angular_modes(spec.d, spec.K), cols) if np.any(col)}
     if coeffs.fcirc:
-        t = coeffs.pair.profile(ru)
+        t = coeffs.pair.profile(r)
         for m, g in coeffs.fcirc.items():
             profiles[m] = g * t + profiles.get(m, 0.0) / (1.0 + coeffs.pair.c[m])
-    phase = distinct_phase(thetas)
     for mode, prof in profiles.items():
-        out = out + prof[inv].reshape(r.shape) * phase(mode)
+        # np.multiply keeps the order prof * phase (see basis.inner_product)
+        out = out + np.multiply(prof, ball_phase(mode, thetas))
     return out
 
 
@@ -160,9 +160,11 @@ def synthesize(coeffs: CoeffTensor, r, *thetas) -> np.ndarray:
     Per split mode the sum is g_m T(r) + f1_m(r) / (1 + c_m), from fcirc and
     the pair's c and template, so the field is never evaluated.  The radial
     family follows coeffs.spec (kind and d), so coefficients from any
-    analyze_* function are summed in their own basis.  Radial work is one
-    O(N) recurrence pass per distinct radius, shared by every mode; each
-    mode's phase is taken once per distinct angle tuple.
+    analyze_* function are summed in their own basis.  r and the angles
+    broadcast: radial work is one O(N) recurrence pass per entry of r,
+    shared by every mode, and each mode's phase is taken once per entry of
+    the broadcast angles, so an open mesh (np.meshgrid(..., sparse=True))
+    costs O(N) per radius and one phase per angle tuple.
     """
     return _synthesize(coeffs, r, thetas)
 
@@ -193,8 +195,8 @@ def coeff_decay_table(coeffs: CoeffTensor):
 
 
 def _error_report(f, coeffs: CoeffTensor, M: int) -> ErrorReport:
-    mesh = np.meshgrid(*standard_grid(M, coeffs.spec.d), indexing="ij")
-    err = synthesize(coeffs, *mesh) - f(*mesh)
+    axes = standard_grid(M, coeffs.spec.d)
+    err = synthesize(coeffs, *np.meshgrid(*axes, indexing="ij", sparse=True)) - on_mesh(f, *axes)
     return ErrorReport(
         e_inf=float(np.max(np.abs(err))),
         e_2=float(np.sqrt(np.sum(np.abs(err) ** 2))),

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (UsageError, angular_dft, angular_grid, distinct_phase,
-                    distinct_radii, inner_product)
+from .basis import UsageError, angular_dft, angular_grid, ball_phase, inner_product, on_mesh
 from .jacobi import gauss_jacobi_01
 
 #: Gauss-Legendre radii of make_pos's Gram-Schmidt step and of verify_pos.
@@ -76,11 +75,10 @@ class SplitPair:
         return out
 
 
-def _residual_profiles(f, modes, g, T, d, n_samples, r):
-    """Residual radial profiles f_mode(r) - g_mode * T(r) at the radii r (array)."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    mesh = np.meshgrid(r, *angular_grid(d, n_samples), indexing="ij")
-    fm = angular_dft(f(*mesh), d, int(np.max(np.abs(list(modes)))), mean=True)
+def _residual_profiles(f, modes, g, T, d, n_angles, r):
+    """Residual radial profiles f_mode(r) - g_mode * T(r) at the 1-D radii r."""
+    fm = angular_dft(on_mesh(f, r, *angular_grid(d, n_angles)), d,
+                     int(np.max(np.abs(list(modes)))), mean=True)
     t = T(r)
     return {m: fm[m] - g[m] * t for m in modes}
 
@@ -94,16 +92,16 @@ def _check_dim(d: int):
         raise UsageError(f"splitting needs d >= 2, got d={d}")
 
 
-def make_pos(f, template=_one_minus_r, d: int = 2,
-             k_max: int = 16, n_samples: int = 64) -> SplitPair:
+def make_pos(f, template=_one_minus_r, d: int = 2, k_max: int = 16) -> SplitPair:
     """Split f into an orthogonal (affine, residual) pair.
 
-    f is a callable f(r, theta1, ..., theta_{d-1}) accepting arrays, for any
-    d >= 2, continuous on the closed box with f(1, .) = 0.  template is the
+    f is a callable f(r, theta1, ..., theta_{d-1}) accepting broadcastable
+    coordinate arrays, for any d >= 2, continuous on the closed box with
+    f(1, .) = 0; it is sampled on open meshes (on_mesh).  template is the
     radial callable T of the affine part (array of radii -> array), with
-    T(0) = 1 and T(1) = 0; the default is 1 - r.  n_samples angular
-    samples per axis must resolve the modes up to k_max: n_samples >=
-    2*k_max + 1; f is sampled on n_samples^(d-1) angles per radius.  The
+    T(0) = 1 and T(1) = 0; the default is 1 - r.  The modes up to k_max >= 0
+    are split, from 4 * max(k_max, 1) angular samples per axis, so f is
+    sampled on that many angles to the power d-1 per radius.  The
     split is a per-mode affine map (see SplitPair); its thresholds are
     relative to the field, so s*f splits like f for any scale s > 0.  The
     f0 callable, and f1 = f - f0 derived from it, are for verification: f0
@@ -113,14 +111,13 @@ def make_pos(f, template=_one_minus_r, d: int = 2,
     and synthesis use the map instead.  A degenerate split has f0 = f.
     """
     _check_dim(d)
-    if n_samples < 2 * k_max + 1:
-        raise UsageError(
-            f"n_samples={n_samples} cannot resolve k_max={k_max}: "
-            f"need n_samples >= 2*k_max+1 = {2 * k_max + 1}")
+    if k_max < 0:
+        raise UsageError(f"k_max must be >= 0, got {k_max}")
     if not callable(template):
         raise UsageError(f"template must be a radial callable, got {template!r}")
-    origin_mesh = np.meshgrid(np.array([0.0]), *angular_grid(d, n_samples), indexing="ij")
-    origin = angular_dft(f(*origin_mesh)[0], d, k_max, mean=True)
+    n_angles = 4 * max(k_max, 1)
+    origin = angular_dft(on_mesh(f, np.array([0.0]), *angular_grid(d, n_angles))[0],
+                         d, k_max, mean=True)
     scale = np.max(np.abs(list(origin.values())))
     modes = [m for m, v in origin.items() if abs(complex(np.asarray(v))) > COEFF_TOL * scale]
 
@@ -128,7 +125,7 @@ def make_pos(f, template=_one_minus_r, d: int = 2,
     t_nodes = template(rq)
     g = {m: complex(np.asarray(origin[m])) for m in modes}
     # mode -> f_mode(rq) - g_mode * template(rq)
-    resid_at_nodes = _residual_profiles(f, modes, g, template, d, n_samples, rq) if modes else {}
+    resid_at_nodes = _residual_profiles(f, modes, g, template, d, n_angles, rq) if modes else {}
     c = {}
     pure = []   # modes that are already a pure template multiple keep c = 0
     for m in modes:
@@ -146,19 +143,19 @@ def make_pos(f, template=_one_minus_r, d: int = 2,
             return out
         needed = {m for m in modes if c[m] != 0.0}
         # mode profiles are functions of r only; evaluate once per unique radius
-        ru, inv = distinct_radii(np.atleast_1d(r))
+        ru, inv = np.unique(r, return_inverse=True)
         if np.array_equal(ru, rq):
             # the same samples make_pos took: reuse them instead of re-sampling f
             resid_u = {m: resid_at_nodes[m] for m in needed}
         else:
-            resid_u = _residual_profiles(f, needed, g, template, d, n_samples, ru) \
+            resid_u = _residual_profiles(f, needed, g, template, d, n_angles, ru) \
                 if needed else {}
-        phase = distinct_phase(thetas)
         for m in modes:
             prof_u = g[m] * template(ru)
             if m in resid_u:
                 prof_u = prof_u - c[m] * resid_u[m]
-            out = out + prof_u[inv].reshape(r.shape) * phase(m)
+            # np.multiply keeps the order prof * phase (see inner_product)
+            out = out + np.multiply(prof_u[inv].reshape(r.shape), ball_phase(m, thetas))
         return out
 
     return SplitPair(f=f, f0=f if degenerate else f0, c=c, origin_coeffs=g, profile=template,
@@ -199,29 +196,29 @@ class SplitReport:
 def verify_pos(pair: SplitPair) -> SplitReport:
     """Numerical residuals of the three splitting conditions plus the sum.
 
-    Four meshes, each sampling pair.f and pair.f0 once, with f1 their
-    difference: the body (the N_RADIAL Gauss-Legendre radii times 32 angles
-    per axis; sum residual and scale), the orthogonality mesh (the same
-    radii times N_RADIAL angles per axis, inner_product's rule), r = 1 and
-    r = 0 (times 32 angles per axis).
+    Four open meshes (on_mesh), each sampling pair.f and pair.f0 once, with
+    f1 their difference: the body (the N_RADIAL Gauss-Legendre radii times
+    32 angles per axis; sum residual and scale), the orthogonality mesh (the
+    same radii times N_RADIAL angles per axis, inner_product's rule), r = 1
+    and r = 0 (times 32 angles per axis).
     """
     _check_dim(pair.d)
     grids = angular_grid(pair.d, 32)
     rq, _ = gauss_jacobi_01(N_RADIAL, 0.0, 0.0)
 
-    def sample(mesh):
-        f = pair.f(*mesh)
-        f0 = pair.f0(*mesh)
+    def sample(*axes):
+        f = on_mesh(pair.f, *axes)
+        f0 = on_mesh(pair.f0, *axes)
         return f, f0, f - f0
 
-    f, f0, f1 = sample(np.meshgrid(rq, *grids, indexing="ij"))
+    f, f0, f1 = sample(rq, *grids)
     sum_res = float(np.max(np.abs(f0 + f1 - f)))
     scale = float(np.max(np.abs(f)))
-    _, b0, b1 = sample(np.meshgrid(np.array([1.0]), *grids, indexing="ij"))
+    _, b0, b1 = sample(np.array([1.0]), *grids)
     boundary = max(float(np.max(np.abs(b0))), float(np.max(np.abs(b1))))
-    o, o0, o1 = sample(np.meshgrid(np.array([0.0]), *grids, indexing="ij"))
+    o, o0, o1 = sample(np.array([0.0]), *grids)
     origin = max(float(np.max(np.abs(o1))), float(np.max(np.abs(o0 - o))))
-    _, q0, q1 = sample(np.meshgrid(rq, *angular_grid(pair.d, N_RADIAL), indexing="ij"))
+    _, q0, q1 = sample(rq, *angular_grid(pair.d, N_RADIAL))
     ortho = abs(inner_product(q0, q1, resolution=N_RADIAL,
                               d=pair.d))
     return SplitReport(sum_residual=sum_res, boundary_residual=boundary,
@@ -230,10 +227,10 @@ def verify_pos(pair: SplitPair) -> SplitReport:
 
 
 def check_split(pair: SplitPair, tol: float = 1e-8) -> SplitReport:
-    """verify_pos(pair), refused with UsageError when its relative residual
-    exceeds tol."""
+    """verify_pos(pair), refused with UsageError unless its relative residual
+    is at most tol (a NaN residual is refused)."""
     report = verify_pos(pair)
-    if report.relative > tol:
+    if not report.relative <= tol:
         raise UsageError(
             f"split pair fails verification with relative residual {report.relative:.3e}")
     return report

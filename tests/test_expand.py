@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ballspec.basis import (
-    BasisKind, BasisSpec, UsageError, ball_radial, wfunc_radial,
+    BasisKind, BasisSpec, UsageError, ball_radial, inner_product, wfunc_radial,
 )
 from ballspec.expand import (
     CoeffTensor,
@@ -27,7 +27,7 @@ from ballspec.expand import (
     synthesize_polar_weighted,
 )
 from ballspec import cli, expand
-from ballspec.split import SplitPair, make_pos, raw_pair
+from ballspec.split import SplitPair, make_pos, raw_pair, verify_pos
 
 
 def standard_field(r, th):
@@ -236,15 +236,15 @@ def test_export_round_trips(tmp_path):
 
 def reference_synthesis(coeffs, r, *thetas):
     """The closed sum g_m T + f1_m / (1 + c_m) per split mode, with per-degree
-    radial calls and a full-mesh exp per mode, and the same reductions as
-    the library: degree sums over the distinct radii, modes added in flat
-    order."""
+    radial calls and an exp per mode on the broadcast angles, and the same
+    reductions as the library: degree sums over the distinct radii, modes
+    added in flat order."""
     spec, pair = coeffs.spec, coeffs.pair
     K = spec.K
     radial = wfunc_radial if spec.d == 2 else ball_radial
     ru, inv = np.unique(r, return_inverse=True)
     rad = np.array([radial(spec, n, ru) for n in range(spec.N + 1)])
-    out = np.zeros(r.shape, dtype=complex)
+    out = np.zeros(np.broadcast(r, *thetas).shape, dtype=complex)
     cols = coeffs.fhat.reshape(spec.N + 1, -1).T
     if spec.d == 2:
         modes = [(m,) for m in range(-K, K + 1)]
@@ -276,7 +276,9 @@ def test_synthesize_equals_per_degree_per_mode_loop(d):
             * np.exp(1j * (0.5 + np.asarray(t1) + 2.0 * np.asarray(t2)))
         spec = BasisSpec(alpha=2.0, beta=2.0, d=3, N=8, K=2)
         coeffs = analyze_ball3(make_pos(f, d=3), spec)
-    mesh = np.meshgrid(*standard_grid(24, d), indexing="ij")
+    # on the open mesh the distinct radii are r itself, so the library's
+    # degree sums have the reference's shape
+    mesh = np.meshgrid(*standard_grid(24, d), indexing="ij", sparse=True)
     assert np.array_equal(synthesize(coeffs, *mesh), reference_synthesis(coeffs, *mesh))
 
 
@@ -367,7 +369,7 @@ def test_degenerate_split_expands_the_modes_without_an_origin_value():
 def test_d4_standard_field_splits_and_expands_geometrically():
     # the d=4 analogue of the standard field, at small (N, K)
     f2, f4 = cli.test_field(2), cli.test_field(4)
-    pair = make_pos(f4, d=4, k_max=2, n_samples=8)
+    pair = make_pos(f4, d=4, k_max=2)
     c2 = make_pos(f2).c
     assert list(pair.c) == [(1, 1, 1)]
     assert abs(pair.c[(1, 1, 1)] - c2[1]) <= 1e-12
@@ -390,3 +392,88 @@ def test_split_verification_is_relative_to_the_field_scale(s):
     bent = dataclasses.replace(pair, f0=lambda r, th: pair.f0(r, th) + 1e-6 * f(r, th))
     with pytest.raises(UsageError, match="fails verification"):
         analyze(bent, DISC_SPEC)
+
+
+def test_analysis_refuses_a_nan_split():
+    f = lambda r, th: np.where(np.asarray(r) > 0.5, np.nan, standard_field(r, th))
+    with np.errstate(invalid="ignore"):
+        pair = make_pos(f)
+    with pytest.raises(UsageError, match="fails verification"):
+        analyze(pair, DISC_SPEC)
+
+
+def recorded(f):
+    """f with a record of each call's (largest argument size, broadcast shape)."""
+    def g(*args):
+        g.calls.append((max(np.size(a) for a in args), np.broadcast(*args).shape))
+        return f(*args)
+    g.calls = []
+    return g
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_every_sampling_site_samples_an_open_mesh(d):
+    # each site passes coordinates no larger than the mesh's longest axis,
+    # and the field still sees every point of the full mesh
+    f = recorded(cli.test_field(d))
+    spec = BasisSpec(2.0, 2.0, d=d, N=4, K=2)
+    body, edge, ortho = (48,) + (32,) * (d - 1), (1,) + (32,) * (d - 1), (48,) * d
+    origin, nodes = (1,) + (8,) * (d - 1), (48,) + (8,) * (d - 1)
+    calls = {}
+
+    def site(name, run):
+        f.calls = []
+        out = run()
+        calls[name] = f.calls
+        return out
+
+    pair = site("make_pos", lambda: make_pos(f, d=d, k_max=2))
+    pair.f0 = recorded(pair.f0)
+    # f0 re-samples f at r = 1 and r = 0, the radii that are not the split's
+    site("verify_pos", lambda: verify_pos(pair))
+    calls["verify_pos.f0"] = pair.f0.calls
+    coeffs = site("analyze", lambda: analyze(pair, spec, check=False))
+    site("inner_product", lambda: inner_product(f, f, resolution=8, d=d))
+    site("error_report", lambda: error_report(f, coeffs, M=5))
+    want = {
+        "make_pos": [origin, nodes],
+        "verify_pos": [body, edge, origin, edge, origin, ortho],
+        "verify_pos.f0": [body, edge, edge, ortho],
+        "analyze": [(4 + expand.QUAD_PAD,) + (16,) * (d - 1)],
+        "inner_product": [(8,) * d] * 2,
+        "error_report": [(6,) * d],
+    }
+    assert {name: sorted(shape for _, shape in c) for name, c in calls.items()} == \
+        {name: sorted(shapes) for name, shapes in want.items()}
+    for name, c in calls.items():
+        for largest, shape in c:
+            assert largest <= max(shape), name
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("radial", [lambda r: 1.0 - r, lambda r: (1.0 - r) * np.exp(r)])
+def test_theta_independent_field_equals_its_full_shape_twin(d, radial):
+    flat = lambda r, *th: radial(r)
+    full = lambda r, *th: radial(r) * np.ones(np.broadcast(r, *th).shape)
+    assert inner_product(flat, flat, d=d) == inner_product(full, full, d=d)
+    pair, twin = make_pos(flat, d=d), make_pos(full, d=d)
+    assert (pair.origin_coeffs, pair.c) == (twin.origin_coeffs, twin.c)
+    spec = BasisSpec(2.0, 2.0, d=d, N=6, K=1)
+    reports = [error_report(f, analyze(p, spec)) for f, p in ((flat, pair), (full, twin))]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("site", ["make_pos", "verify_pos", "analyze", "inner_product",
+                                  "error_report"])
+def test_a_field_of_the_wrong_shape_is_refused(site):
+    wrong = lambda r, th: np.ones(3)
+    coeffs = analyze_disc(make_pos(standard_field), DISC_SPEC)
+    run = {
+        "make_pos": lambda: make_pos(wrong),
+        "verify_pos": lambda: verify_pos(raw_pair(wrong)),
+        "analyze": lambda: analyze(raw_pair(wrong), DISC_SPEC, check=False),
+        "inner_product": lambda: inner_product(wrong, standard_field),
+        "error_report": lambda: error_report(wrong, coeffs),
+    }[site]
+    with pytest.raises(UsageError, match=r"mesh returned shape \(3,\)"):
+        run()

@@ -9,6 +9,8 @@ radial matrix keeps its structure, and the one-core flow equals the dense
 exponential of every mode's block.
 """
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -169,7 +171,7 @@ def test_make_pos_is_rotation_equivariant(phi, d):
     """theta_1 -> theta_1 + phi maps g_m to g_m e^(i m_1 phi) and keeps c."""
     f = rotation_field(d)
     rotated = lambda r, t1, *rest: f(r, np.asarray(t1) + phi, *rest)
-    kw = dict(d=d, k_max=4, n_samples=16)
+    kw = dict(d=d, k_max=4)
     pair, turned = make_pos(f, **kw), make_pos(rotated, **kw)
     assert list(turned.origin_coeffs) == list(pair.origin_coeffs)
     assert len(pair.origin_coeffs) == 7
@@ -177,3 +179,24 @@ def test_make_pos_is_rotation_equivariant(phi, d):
         m1 = np.atleast_1d(mode)[0]
         assert abs(turned.origin_coeffs[mode] - g * np.exp(1j * m1 * phi)) <= 1e-12 * abs(g)
         assert abs(turned.c[mode] - pair.c[mode]) <= 1e-12 * abs(pair.c[mode])
+
+
+@functools.lru_cache(maxsize=None)
+def split_and_coefficients(d):
+    pair = make_pos(rotation_field(d), d=d, k_max=4)
+    return pair, analyze(pair, BasisSpec(2.0, 2.0, d=d, N=8, K=4), check=False)
+
+
+@PROPERTY
+@given(d=st.sampled_from([2, 3]), data=st.data())
+def test_open_mesh_equals_full_mesh(d, data):
+    """synthesize and f0 on np.meshgrid(..., sparse=True) equal the same
+    calls on the full mesh."""
+    pair, coeffs = split_and_coefficients(d)
+    axis = lambda lo, hi: np.array(data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=6)))
+    axes = [axis(0.0, 1.0), axis(-np.pi, np.pi)] + [axis(0.0, np.pi) for _ in range(d - 2)]
+    for fn in (lambda *mesh: synthesize(coeffs, *mesh), pair.f0):
+        got = fn(*np.meshgrid(*axes, indexing="ij", sparse=True))
+        want = fn(*np.meshgrid(*axes, indexing="ij"))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from ballspec.basis import (UsageError, angular_dft, angular_grid, ball_phase,
-                            cell_measures, distinct_radii, inner_product)
+from ballspec.basis import (UsageError, angular_dft, angular_grid, cell_measures,
+                            inner_product)
 from ballspec.jacobi import gauss_jacobi_01
 from ballspec.split import (
-    SplitPair,
     SplitReport,
     check_split,
-    distinct_phase,
     make_pos,
     raw_pair,
     verify_pos,
@@ -123,10 +121,9 @@ def test_raw_pair_fails_verification_for_nonvanishing_origin():
     assert rep.origin_residual > 0.1
 
 
-def test_make_pos_rejects_aliased_angular_sampling():
-    with pytest.raises(UsageError, match=r"n_samples=16.*k_max=16"):
-        make_pos(standard_field, k_max=16, n_samples=16)
-    make_pos(standard_field, k_max=16, n_samples=33)  # 2*k_max+1 is enough
+def test_make_pos_refuses_a_negative_k_max():
+    with pytest.raises(UsageError, match="k_max"):
+        make_pos(standard_field, k_max=-1)
 
 
 def multi_mode_field(r, th):
@@ -152,46 +149,6 @@ def test_f0_at_split_nodes_equals_resampling_path(template):
         ref = ref + prof[:, None] * np.exp(1j * m * th)[None, :]
     assert any(c != 0.0 for c in pair.c.values())
     assert np.array_equal(pair.f0(*mesh), ref)
-
-
-def test_distinct_phase_equals_exp_over_full_mesh():
-    rng = np.random.default_rng(3)
-    # repeated angles, a signed zero and scattered points, with broadcasting
-    t1 = np.concatenate([np.tile(np.linspace(-np.pi, np.pi, 9), 4), [0.0, -0.0],
-                         rng.uniform(-np.pi, np.pi, 20)])
-    t2 = rng.permutation(np.resize(np.linspace(0.0, np.pi, 5), t1.size))
-    t2b = np.array([0.5, -0.0, 0.5])[None, :]
-    phase = distinct_phase([t1[:, None], t2b])
-    for m in (-7, 0, 3):
-        want = np.exp(1j * (m * t1[:, None] + 2.0 * 0 * t2b))
-        assert np.array_equal(phase((m, 0)), want)
-    phase = distinct_phase([t1, t2])
-    for k1, k2 in [(-2, 3), (0, 0), (4, -1)]:
-        want = np.exp(1j * (k1 * t1 + 2.0 * k2 * t2))
-        got = phase((k1, k2))
-        assert np.array_equal(got, want)
-        assert got.tobytes() == want.tobytes()
-
-
-def test_tensor_mesh_is_not_sorted_point_by_point(monkeypatch):
-    rng = np.random.default_rng(4)
-    radii = np.concatenate([rng.uniform(0.0, 1.0, 6), [0.5, 0.5, 1.0]])
-    angles = [np.linspace(-np.pi, np.pi, 12, endpoint=False), np.array([0.0, -0.0, 1.0, 0.0])]
-    mesh = np.meshgrid(radii, *angles, indexing="ij")
-    scattered = [rng.permutation(m.ravel()) for m in mesh]
-    want_r = [np.unique(m.ravel(), return_inverse=True) for m in (mesh[0], scattered[0])]
-    want_phase = [ball_phase((3, -2), list(m[1:])) for m in (mesh, scattered)]
-    sizes = []
-    unique = np.unique
-    monkeypatch.setattr(np, "unique", lambda a, **kw: sizes.append(np.size(a)) or unique(a, **kw))
-    for m, (ru, inv), phase in zip((mesh, scattered), want_r, want_phase):
-        got_ru, got_inv = distinct_radii(m[0])
-        assert np.array_equal(got_ru, ru) and np.array_equal(got_inv, inv)
-        assert distinct_phase(m[1:])((3, -2)).tobytes() == phase.tobytes()
-        if m is mesh:
-            # one sort per axis line, none over the mesh
-            assert max(sizes) == max(len(radii), len(angles[0]), len(angles[1]))
-    assert max(sizes) == mesh[0].size
 
 
 def test_split_report_worst_is_the_largest_residual():
@@ -317,3 +274,16 @@ def test_check_split_gates_the_relative_residual():
     assert check_split(make_pos(standard_field)) == verify_pos(make_pos(standard_field))
     with pytest.raises(UsageError, match="relative residual"):
         check_split(raw_pair(standard_field))
+
+
+def nan_outside_half(r, th):
+    return np.where(np.asarray(r) > 0.5, np.nan, standard_field(r, th))
+
+
+def test_check_split_refuses_a_nan_report():
+    # the Gram-Schmidt step divides NaN by NaN; only the verification refuses it
+    with np.errstate(invalid="ignore"):
+        pair = make_pos(nan_outside_half)
+    assert np.isnan(verify_pos(pair).relative)
+    with pytest.raises(UsageError, match="relative residual nan"):
+        check_split(pair)
