@@ -8,11 +8,14 @@ zeroes every entry with even row+column sum; masked instances carry rank-1
 generators so that every off-diagonal block of the materialised matrix
 still has rank at most 2.
 
-Shifted solves take a SemiSep2, a dense array or a SchurForm A = Z T Z^H.
-contour_apply factors A once into a SchurForm, so each contour node costs
-O(n^2) triangular solves (one, plus one refinement step) instead of an
-O(n^3) LU; every solve is still certified by its residual against the
-dense A, never against T.
+Shifted solves take a SemiSep2, a dense array or a SchurForm A = Z T Z^H,
+and one shift or an array of them.  contour_apply factors A once into a
+SchurForm and reads the spectrum that places the contour off the diagonal
+of T.  Each doubling of the node count then makes one batched solve: one
+back-substitution sweep over the rows of T serves every new node, and the
+products with Z, Z^H and A, including one refinement step, are
+matrix-matrix products.  Every column is still certified by its residual
+against the dense A, never against T.
 """
 
 from __future__ import annotations
@@ -194,56 +197,89 @@ def _dense(a) -> np.ndarray:
     return a.to_dense() if isinstance(a, SemiSep2) else np.asarray(a)
 
 
+def _finite_dense(a) -> np.ndarray:
+    """_dense(a), refused with ParameterError unless every entry is finite."""
+    dense = _dense(a)
+    if not np.all(np.isfinite(dense)):
+        raise ParameterError("matrix has non-finite entries")
+    return dense
+
+
 def schur_form(a) -> SchurForm:
-    """One complex Schur factorisation of a SemiSep2 or dense matrix."""
+    """One complex Schur factorisation of a SemiSep2 or dense matrix.
+
+    A real matrix takes the real Schur form, made complex triangular by
+    rsf2csf; a matrix with a non-finite entry raises ParameterError.
+    """
+    dense = _finite_dense(a)
+    if np.isrealobj(dense):
+        t, z = scipy.linalg.rsf2csf(*scipy.linalg.schur(dense, output="real"))
+    else:
+        t, z = scipy.linalg.schur(dense, output="complex")
     # the same values; a complex A is applied to complex iterates without a cast
-    dense = _dense(a).astype(complex)
-    t, z = scipy.linalg.schur(dense, output="complex")
-    return SchurForm(dense=dense, t=t, z=z)
+    return SchurForm(dense=dense.astype(complex), t=t, z=z)
 
 
-def _schur_solve(form: SchurForm, lam: complex, rhs: np.ndarray) -> np.ndarray:
-    """(lam*I - A)^{-1} rhs through A = Z T Z^H, refined once against the dense A."""
-    shifted = form.t.copy(order="F")
-    np.fill_diagonal(shifted, form.t.diagonal() - lam)  # T - lam*I
+def _schur_solve(form: SchurForm, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Columns (lam_j*I - A)^{-1} rhs through A = Z T Z^H, refined once against the dense A."""
+    shifted = form.t.diagonal()[:, None] - lams  # the diagonals of T - lam_j*I
+    singular = np.flatnonzero(np.any(shifted == 0.0, axis=0))
+    if singular.size:
+        raise SolveError(f"shift {lams[singular[0]]} is singular: T - lam*I has a zero pivot")
+    zh = form.z.conj().T
 
-    def apply(b):  # (lam*I - Z T Z^H)^{-1} b = -Z (T - lam*I)^{-1} Z^H b
-        zh_b = (b.conj() @ form.z).conj()  # Z^H b without copying Z^H
-        y = scipy.linalg.solve_triangular(shifted, zh_b, check_finite=False)
+    def apply(b):  # (lam*I - Z T Z^H)^{-1} b = -Z (T - lam*I)^{-1} Z^H b, per column
+        c = zh @ b  # one column, or one per shift
+        y = np.empty(shifted.shape, dtype=complex)
+        # one back-substitution sweep over the rows of T serves every shift
+        for i in range(len(y) - 1, -1, -1):
+            y[i] = (c[i] - form.t[i, i + 1:] @ y[i + 1:]) / shifted[i]
         return -(form.z @ y)
 
+    rhs = rhs[:, None]
     x = apply(rhs)
     # The Schur form's own backward error is the same at every node, so it
     # does not average out over the contour; one refinement step removes it.
-    return x + apply(rhs - (lam * x - form.dense @ x))
+    return x + apply(rhs - (x * lams - form.dense @ x))
 
 
-def solve_shifted(a, lam: complex, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def solve_shifted(a, lam, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Solve (lam*I - A) x = rhs with a post-solve residual certificate.
 
-    A may be a SemiSep2 or a dense array (one O(n^3) dense LU per call), or
-    a SchurForm (O(n^2): triangular solves with T - lam*I and one step of
-    iterative refinement).  Either way ||(lam*I - A) x - rhs|| <= tol ||rhs||
-    is checked against the dense A, never against T, and a singular shift or
-    a failed certificate raises SolveError.
+    lam is one shift, or a 1-D array of shifts: then the result has one
+    column per shift.  A may be a SemiSep2 or a dense array (one O(n^3)
+    dense LU per shift), or a SchurForm: then every shift shares one
+    back-substitution sweep over the rows of T, vectorised across shifts,
+    and one step of iterative refinement, so k shifts cost O(k n^2) in
+    matrix-matrix products.  Either way every column is certified,
+    ||(lam*I - A) x - rhs|| <= tol ||rhs||, against the dense A, never
+    against T; a singular shift or a failed certificate raises SolveError,
+    whose residual is the worst column's.
     """
     dense = _dense(a)
     n = dense.shape[0]
     rhs = np.asarray(rhs)
     if rhs.shape != (n,):
         raise SizeMismatchError(f"rhs length {rhs.shape} != {n}")
-    try:
-        if isinstance(a, SchurForm):
-            x = _schur_solve(a, lam, rhs)
-        else:
-            x = scipy.linalg.solve(lam * np.eye(n) - dense, rhs)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolveError(f"shift {lam} is singular: {exc}") from exc
-    res = np.linalg.norm(lam * x - dense @ x - rhs)
+    lams = np.asarray(lam)
+    if lams.ndim > 1:
+        raise SizeMismatchError(f"shifts must be a scalar or a 1-D array, got shape {lams.shape}")
+    if isinstance(a, SchurForm):
+        x = _schur_solve(a, np.atleast_1d(lams).astype(complex), rhs)
+    else:
+        cols = []
+        for shift in np.atleast_1d(lams):
+            try:
+                cols.append(scipy.linalg.solve(shift * np.eye(n) - dense, rhs))
+            except scipy.linalg.LinAlgError as exc:
+                raise SolveError(f"shift {shift} is singular: {exc}") from exc
+        x = np.stack(cols, axis=1) if cols else np.empty((n, 0), dtype=complex)
+    res = np.linalg.norm(x * lams.reshape(-1) - dense @ x - rhs[:, None], axis=0)
     scale = max(np.linalg.norm(rhs), 1e-300)
-    if not res <= tol * scale:
-        raise SolveError(f"shifted solve residual {res:.3e} exceeds tolerance", residual=res)
-    return x
+    if not np.all(res <= tol * scale):
+        worst = float(np.max(res))
+        raise SolveError(f"shifted solve residual {worst:.3e} exceeds tolerance", residual=worst)
+    return x[:, 0] if lams.ndim == 0 else x
 
 
 #: default_contour's radius over the spectrum's spread about its centroid
@@ -268,28 +304,35 @@ class ContourSpec:
             raise ParameterError(f"need at least 8 contour nodes, got {self.nodes}")
 
 
-def _finite_dense(a) -> np.ndarray:
-    """_dense(a), refused with ParameterError unless every entry is finite."""
-    dense = _dense(a)
-    if not np.all(np.isfinite(dense)):
-        raise ParameterError("matrix has non-finite entries")
-    return dense
+def _eigenvalues(a) -> np.ndarray:
+    """The spectrum of A: a SchurForm's diagonal, else one eigensolve."""
+    if isinstance(a, SchurForm):
+        return a.t.diagonal()
+    dense = _finite_dense(a)
+    return np.linalg.eigvals(dense) if dense.size else np.zeros(0)
 
 
 def spectral_radius_estimate(a) -> float:
-    dense = _finite_dense(a)
-    return float(np.max(np.abs(np.linalg.eigvals(dense)))) if dense.size else 0.0
+    eig = _eigenvalues(a)
+    return float(np.max(np.abs(eig))) if eig.size else 0.0
 
 
 def default_contour(a) -> ContourSpec:
-    """Circle centred at the eigenvalue centroid, CONTOUR_MARGIN times its spread."""
-    dense = _finite_dense(a)
-    if dense.size == 0:
+    """Circle centred at the eigenvalue centroid, CONTOUR_MARGIN times its spread.
+
+    The spread counts as at least a tenth of the centroid's modulus (and
+    1e-8).  A SchurForm gives its eigenvalues off the diagonal of T, without
+    a further eigensolve.
+    """
+    eig = _eigenvalues(a)
+    if eig.size == 0:
         return ContourSpec(center=0.0, radius=1e-8)
-    eig = np.linalg.eigvals(dense)
     center = complex(np.mean(eig))
     spread = float(np.max(np.abs(eig - center)))
-    return ContourSpec(center=center, radius=CONTOUR_MARGIN * max(spread, 1e-8))
+    # a node at distance r from an eigenvalue lam is solved to about
+    # eps |lam| / r relative, so a spectrum without spread keeps r >= |c| / 10
+    floor = max(1e-8, 0.1 * abs(center))
+    return ContourSpec(center=center, radius=CONTOUR_MARGIN * max(spread, floor))
 
 
 def contour_apply(g, a, v: np.ndarray, spec: ContourSpec | None = None) -> np.ndarray:
@@ -298,31 +341,32 @@ def contour_apply(g, a, v: np.ndarray, spec: ContourSpec | None = None) -> np.nd
     Trapezoidal rule on a circle enclosing the spectrum; the node count is
     doubled until two successive results agree to CONTOUR_TOL (relative to
     ||v||), up to CONTOUR_MAX_NODES nodes.  A is Schur-factored once, and
-    each doubling solves only at its new (odd-indexed) nodes: the 2n-th
-    roots of unity contain the n-th ones, so the node sum carries over.
-    A matrix with a non-finite entry raises ParameterError before the
-    eigensolve that places or checks the contour.
+    the contour is placed or checked from the eigenvalues on the diagonal of
+    T, so no other eigensolve runs.  Each doubling solves only at its new
+    (odd-indexed) nodes, all of them in one batched solve_shifted call: the
+    2n-th roots of unity contain the n-th ones, so the node sum carries
+    over.  g is called once per node with a scalar.  A matrix with a
+    non-finite entry raises ParameterError before the Schur factorisation.
     """
     v = np.asarray(v, dtype=complex)
-    dense = _dense(a)
+    form = schur_form(a)
     if spec is None:
         # encloses the spectrum by construction: |lam| <= |c| + spread < |c| + radius
-        spec = default_contour(dense)
+        spec = default_contour(form)
     else:
-        rho = spectral_radius_estimate(dense)
+        rho = spectral_radius_estimate(form)
         if rho > abs(spec.center) + spec.radius:
             raise ContourError(
                 f"spectral radius {rho:.3e} not enclosed by contour of radius {spec.radius:.3e}"
             )
-    form = schur_form(dense)
     scale = max(np.linalg.norm(v), 1e-300)
     total = np.zeros_like(v)
     prev = None
     nodes, new = spec.nodes, np.arange(spec.nodes)
     while nodes <= CONTOUR_MAX_NODES:
         lams = spec.center + spec.radius * np.exp(1j * (2.0 * np.pi * new / nodes))
-        for lam in lams:
-            total += g(lam) * (lam - spec.center) * solve_shifted(form, lam, v, tol=1e-8)
+        weights = np.array([g(lam) for lam in lams]) * (lams - spec.center)
+        total += solve_shifted(form, lams, v, tol=1e-8) @ weights
         acc = total / nodes
         if prev is not None and np.linalg.norm(acc - prev) <= CONTOUR_TOL * scale:
             return acc

@@ -75,10 +75,22 @@ class SplitPair:
         return out
 
 
-def _residual_profiles(f, modes, g, T, d, n_angles, r):
-    """Residual radial profiles f_mode(r) - g_mode * T(r) at the 1-D radii r."""
-    fm = angular_dft(on_mesh(f, r, *angular_grid(d, n_angles)), d,
-                     int(np.max(np.abs(list(modes)))), mean=True)
+def _finite_samples(f, r, d, n_angles):
+    """f on the mesh of the radii r and angular_grid(d, n_angles).
+
+    A sample that is not finite raises UsageError: the split's Fourier
+    transform and Gram-Schmidt step would turn it into NaN coefficients.
+    """
+    vals = on_mesh(f, r, *angular_grid(d, n_angles))
+    if not np.all(np.isfinite(vals)):
+        raise UsageError(f"the field has non-finite samples at radii in [{r[0]:.3g}, {r[-1]:.3g}]")
+    return vals
+
+
+def _residual_profiles(vals, modes, g, T, d, r):
+    """Residual radial profiles f_mode(r) - g_mode * T(r) from f's samples
+    vals at the 1-D radii r (on_mesh order)."""
+    fm = angular_dft(vals, d, int(np.max(np.abs(list(modes)))), mean=True)
     t = T(r)
     return {m: fm[m] - g[m] * t for m in modes}
 
@@ -108,7 +120,9 @@ def make_pos(f, template=_one_minus_r, d: int = 2, k_max: int = 16) -> SplitPair
     samples f again at the radii it is given, except at the N_RADIAL
     Gauss-Legendre nodes of this split (those of verify_pos's body and
     orthogonality meshes), where it reuses the samples taken here.  Analysis
-    and synthesis use the map instead.  A degenerate split has f0 = f.
+    and synthesis use the map instead.  A degenerate split has f0 = f.  A
+    sample of f that is not finite, at the origin or at the N_RADIAL nodes,
+    raises UsageError.
     """
     _check_dim(d)
     if k_max < 0:
@@ -116,8 +130,8 @@ def make_pos(f, template=_one_minus_r, d: int = 2, k_max: int = 16) -> SplitPair
     if not callable(template):
         raise UsageError(f"template must be a radial callable, got {template!r}")
     n_angles = 4 * max(k_max, 1)
-    origin = angular_dft(on_mesh(f, np.array([0.0]), *angular_grid(d, n_angles))[0],
-                         d, k_max, mean=True)
+    origin = angular_dft(_finite_samples(f, np.array([0.0]), d, n_angles)[0], d, k_max,
+                         mean=True)
     scale = np.max(np.abs(list(origin.values())))
     modes = [m for m, v in origin.items() if abs(complex(np.asarray(v))) > COEFF_TOL * scale]
 
@@ -125,7 +139,8 @@ def make_pos(f, template=_one_minus_r, d: int = 2, k_max: int = 16) -> SplitPair
     t_nodes = template(rq)
     g = {m: complex(np.asarray(origin[m])) for m in modes}
     # mode -> f_mode(rq) - g_mode * template(rq)
-    resid_at_nodes = _residual_profiles(f, modes, g, template, d, n_angles, rq) if modes else {}
+    resid_at_nodes = _residual_profiles(_finite_samples(f, rq, d, n_angles), modes, g, template,
+                                        d, rq) if modes else {}
     c = {}
     pure = []   # modes that are already a pure template multiple keep c = 0
     for m in modes:
@@ -148,8 +163,8 @@ def make_pos(f, template=_one_minus_r, d: int = 2, k_max: int = 16) -> SplitPair
             # the same samples make_pos took: reuse them instead of re-sampling f
             resid_u = {m: resid_at_nodes[m] for m in needed}
         else:
-            resid_u = _residual_profiles(f, needed, g, template, d, n_angles, ru) \
-                if needed else {}
+            resid_u = _residual_profiles(on_mesh(f, ru, *angular_grid(d, n_angles)), needed, g,
+                                         template, d, ru) if needed else {}
         for m in modes:
             prof_u = g[m] * template(ru)
             if m in resid_u:

@@ -395,9 +395,9 @@ def test_split_verification_is_relative_to_the_field_scale(s):
 
 
 def test_analysis_refuses_a_nan_split():
+    # make_pos refuses this field, so it replaces the field of a finite pair
     f = lambda r, th: np.where(np.asarray(r) > 0.5, np.nan, standard_field(r, th))
-    with np.errstate(invalid="ignore"):
-        pair = make_pos(f)
+    pair = dataclasses.replace(make_pos(standard_field), f=f)
     with pytest.raises(UsageError, match="fails verification"):
         analyze(pair, DISC_SPEC)
 

@@ -5,8 +5,10 @@ back as its unit indicator and synthesize back to itself, whatever the
 family, truncation and exponent.  The exponents are even integers: then the
 Gauss-Jacobi rule sees a polynomial and analysis is exact to rounding.  The
 split obeys Parseval and commutes with rotations in the first angle, the
-radial matrix keeps its structure, and the one-core flow equals the dense
-exponential of every mode's block.
+radial matrix keeps its structure, the one-core flow equals the dense
+exponential of every mode's block, and on random non-normal rank-2 matrices
+the contour exponential equals the dense one while every batched shifted
+solve is certified or refused.
 """
 
 import functools
@@ -14,7 +16,7 @@ import functools
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ballspec.basis import (BasisSpec, UsageError, ball_phase, ball_radial,
                             ex1_radial, inner_product, wfunc_radial)
@@ -27,7 +29,8 @@ from ballspec.expand import (
     synthesize,
 )
 from ballspec.pde import PdeKind, assemble, propagate
-from ballspec.semisep import SemiSep2
+from ballspec.jacobi import BallspecError
+from ballspec.semisep import SemiSep2, contour_apply, schur_form, solve_shifted
 from ballspec.split import make_pos, raw_pair, verify_pos
 
 even = st.sampled_from([2.0, 4.0, 6.0, 8.0])
@@ -104,6 +107,44 @@ def test_semisep_matvec_equals_dense_matvec(seed, size, rank, masked, complex_x)
     dense = a.to_dense()
     bound = 1e-13 * (1.0 + np.abs(dense) @ np.abs(x))
     assert np.all(np.abs(a.matvec(x) - dense @ x) <= bound)
+
+
+def non_normal_semisep(seed, size, norm):
+    """A random unmasked rank-2 SemiSep2 scaled to spectral norm ``norm``, and a rng."""
+    rng = np.random.default_rng(seed)
+    gen = lambda: rng.standard_normal((2, size))
+    a = SemiSep2(size=size, p=gen(), q=gen(), u=gen(), v=gen(), diag=rng.standard_normal(size))
+    s = norm / np.linalg.norm(a.to_dense(), 2)
+    return SemiSep2(size=size, p=a.p * s, q=a.q, u=a.u * s, v=a.v, diag=a.diag * s), rng
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 24), norm=st.floats(0.01, 4.0))
+def test_contour_exponential_equals_dense_expm(seed, size, norm):
+    a, rng = non_normal_semisep(seed, size, norm)
+    v = rng.uniform(-1.0, 1.0, size) + 1j * rng.uniform(-1.0, 1.0, size)
+    ref = scipy.linalg.expm(a.to_dense()) @ v
+    # relative to the result where it exceeds 1: e^A v reaches e^4 |v|
+    assert np.max(np.abs(contour_apply(np.exp, a, v) - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 24), norm=st.floats(0.01, 4.0),
+       shifts=st.lists(st.complex_numbers(max_magnitude=8.0, allow_nan=False,
+                                          allow_infinity=False), min_size=1, max_size=12))
+def test_batched_shifted_solve_is_certified_or_refused(seed, size, norm, shifts):
+    a, rng = non_normal_semisep(seed, size, norm)
+    dense, lams = a.to_dense(), np.array(shifts, dtype=complex)
+    # off the spectrum: no shift on an eigenvalue
+    assume(np.min(np.abs(lams[:, None] - np.linalg.eigvals(dense))) > 1e-6)
+    b = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    try:
+        x = solve_shifted(schur_form(a), lams, b)
+    except BallspecError:
+        return
+    assert x.shape == (size, lams.size)
+    res = np.linalg.norm(x * lams - dense @ x - b[:, None], axis=0)
+    assert np.all(res <= 1e-10 * np.linalg.norm(b))
 
 
 @PROPERTY

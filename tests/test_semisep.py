@@ -15,6 +15,7 @@ from ballspec.semisep import (
     default_contour,
     schur_form,
     solve_shifted,
+    spectral_radius_estimate,
 )
 from ballspec.diffmat import build_Dr
 from ballspec.jacobi import ParameterError
@@ -104,16 +105,47 @@ def test_contour_rejects_non_enclosing_circle():
         contour_apply(np.exp, d, np.ones(13), tiny)
 
 
+def counting(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_default_contour_takes_one_eigensolve(monkeypatch):
+    # the Schur form is the only eigensolve: the contour comes off its diagonal
     d = build_Dr(4, 2.0)
     v = np.linspace(-1.0, 1.0, 5)
-    want = contour_apply(np.exp, d, v, default_contour(d))
-    calls = []
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(1) or eigvals(m))
+    want = contour_apply(np.exp, d, v, default_contour(schur_form(d)))
+    calls = {"eigvals": 0, "schur": 0}
+    monkeypatch.setattr(np.linalg, "eigvals", counting(calls, "eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(scipy.linalg, "schur", counting(calls, "schur", scipy.linalg.schur))
     got = contour_apply(np.exp, d, v)
-    assert len(calls) == 1
+    assert calls == {"eigvals": 0, "schur": 1}
     assert np.array_equal(got, want)
+
+
+def test_contour_from_a_schur_form_reads_its_diagonal(monkeypatch):
+    for a in (build_Dr(9, 2.0), np.diag([1.0 + 2.0j, -0.5, 3.0])):
+        form = schur_form(a)
+        rho, want = np.max(np.abs(np.linalg.eigvals(form.dense))), default_contour(a)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvals", lambda *args: pytest.fail("eigvals was called"))
+            spec = default_contour(form)
+            assert spectral_radius_estimate(form) == pytest.approx(rho, rel=1e-12)
+        assert spec.center == pytest.approx(want.center, abs=1e-12)
+        assert spec.radius == pytest.approx(want.radius, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [np.array([[3.5]]), -2.0 * np.eye(4), (1.0 + 5.0j) * np.eye(3),
+                               8.0 * np.eye(2)])
+def test_contour_of_a_one_point_spectrum_is_certified(a):
+    # the spectrum has no spread, so the radius comes from the centre: a node
+    # 1e-8 from lam is solved to only about eps |lam| / 1e-8 relative
+    v = np.linspace(-1.0, 1.0, len(a))
+    ref = scipy.linalg.expm(a) @ v
+    assert np.max(np.abs(contour_apply(np.exp, a, v) - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def non_normal_semisep(seed, n=24, norm=2.0):
@@ -174,20 +206,91 @@ def test_contour_factors_once_and_solves_once_per_node(monkeypatch):
     a = non_normal_semisep(16)
     v = np.linspace(-1.0, 1.0, a.size)
     want = converged_node_count(a, v, default_contour(a))
-    calls = {"schur": 0, "solve": 0, "solve_shifted": 0}
+    calls = {"schur": 0, "solve": 0}
+    shifts = []  # the shifts of each solve_shifted call
+    solve_shifted_ = semisep.solve_shifted
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_solve_shifted(form, lams, rhs, **kwargs):
+        shifts.append(np.size(lams))
+        return solve_shifted_(form, lams, rhs, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
-    monkeypatch.setattr(scipy.linalg, "solve", counted("solve", scipy.linalg.solve))
-    monkeypatch.setattr(semisep, "solve_shifted", counted("solve_shifted", semisep.solve_shifted))
+    monkeypatch.setattr(scipy.linalg, "schur", counting(calls, "schur", scipy.linalg.schur))
+    monkeypatch.setattr(scipy.linalg, "solve", counting(calls, "solve", scipy.linalg.solve))
+    monkeypatch.setattr(semisep, "solve_shifted", counted_solve_shifted)
     contour_apply(np.exp, a, v)
-    assert calls == {"schur": 1, "solve": 0, "solve_shifted": want}
-    assert want > ContourSpec().nodes
+    assert calls == {"schur": 1, "solve": 0}
+    # one call per doubling: the first n nodes, then n, 2n, ... new ones
+    first = ContourSpec().nodes
+    assert shifts == [first] + [first * 2 ** k for k in range(len(shifts) - 1)]
+    assert sum(shifts) == want
+    assert want > first
+
+
+def as_dense(a):
+    return a.to_dense() if isinstance(a, SemiSep2) else a
+
+
+def complex_dense(seed, n=20):
+    """A random complex dense matrix scaled to spectral norm 2."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 2.0 * m / np.linalg.norm(m, 2)
+
+
+SHIFTS = np.array([0.7 + 0.4j, -3.0 + 0.0j, 0.05 - 2.5j, 2.2 + 2.2j, -0.3 - 0.9j])
+
+
+def test_shift_array_gives_the_scalar_solves_column_by_column():
+    worst = 0.0
+    for a in (non_normal_semisep(11), build_Dr(30, 2.0), complex_dense(17)):
+        n = as_dense(a).shape[0]
+        rng = np.random.default_rng(6)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for op in (schur_form(a), a):
+            got = solve_shifted(op, SHIFTS, b)
+            assert got.shape == (n, SHIFTS.size)
+            for j, lam in enumerate(SHIFTS):
+                want = solve_shifted(a, lam, b)
+                worst = max(worst, np.max(np.abs(got[:, j] - want)) / np.max(np.abs(want)))
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_exactly_singular_shift_in_an_array_raises_solve_error(where):
+    form = schur_form(non_normal_semisep(12))
+    # a shift on the diagonal of T, or of a diagonal A, is exactly singular
+    for op, lam, n in ((form, form.t[3, 3], 24), (np.diag([1.0, 2.0, 3.0]), 2.0, 3)):
+        lams = SHIFTS.copy()
+        lams[where] = lam
+        with pytest.raises(SolveError, match="singular"):
+            solve_shifted(op, lams, np.ones(n))
+
+
+def test_one_failing_column_raises_with_the_worst_residual():
+    # A is a nilpotent Jordan chain, so (lam*I - A)^{-1} grows like (2/lam)^n
+    # and only the column at the small shift fails its certificate
+    n = 24
+    a = np.diag(np.full(n - 1, 2.0), 1)
+    lams = np.array([3.0 + 1.0j, 0.7, -2.5j])
+    b = np.ones(n)
+    for op in (a, schur_form(a)):
+        x = solve_shifted(op, lams, b, tol=np.inf)
+        res = np.linalg.norm(x * lams - a @ x - b[:, None], axis=0)
+        assert res[0] <= 1e-10 * np.linalg.norm(b) and res[2] <= 1e-10 * np.linalg.norm(b)
+        with pytest.raises(SolveError, match="exceeds tolerance") as err:
+            solve_shifted(op, lams, b)
+        assert err.value.residual == pytest.approx(res[1], rel=1e-6)
+        assert err.value.residual == pytest.approx(np.max(res), rel=1e-6)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_real_schur_form_is_triangular_and_reproduces_the_matrix(seed):
+    dense = np.random.default_rng(seed).standard_normal((30, 30))
+    for a in (dense, build_Dr(30, 2.0), non_normal_semisep(seed)):
+        form = schur_form(a)
+        assert np.all(np.tril(form.t, -1) == 0.0)
+        err = np.linalg.norm(form.z @ form.t @ form.z.conj().T - as_dense(a), 2)
+        assert err <= 1e-13 * np.linalg.norm(as_dense(a), 2)
 
 
 @pytest.mark.parametrize("kwargs", [{"radius": 0.0}, {"radius": -1.0}, {"nodes": 4}])
@@ -200,12 +303,24 @@ def test_contour_spec_rejects_bad_parameters_with_parameter_error(kwargs):
 def test_non_finite_matrix_is_refused_before_the_eigensolve(monkeypatch, bad):
     a = build_Dr(6, 2.0).to_dense()
     a[2, 3] = bad
-    def eigvals(m):
-        raise AssertionError("eigvals must not see a non-finite matrix")
-    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    def refuse(name):
+        def eigensolve(*args, **kwargs):
+            raise AssertionError(f"{name} must not see a non-finite matrix")
+        return eigensolve
+    monkeypatch.setattr(np.linalg, "eigvals", refuse("eigvals"))
+    monkeypatch.setattr(scipy.linalg, "schur", refuse("schur"))
     with pytest.raises(ParameterError, match="non-finite"):
         default_contour(a)
+    with pytest.raises(ParameterError, match="non-finite"):
+        schur_form(a)
     with pytest.raises(ParameterError, match="non-finite"):
         contour_apply(np.exp, a, np.ones(7))
     with pytest.raises(ParameterError, match="non-finite"):
         contour_apply(np.exp, a, np.ones(7), ContourSpec(radius=100.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_schur_form_refuses_a_non_finite_matrix(bad):
+    for a in (np.array([[1.0, bad], [0.0, 2.0]]), np.array([[1.0j, 0.0], [bad, 2.0]])):
+        with pytest.raises(ParameterError, match="non-finite"):
+            schur_form(a)

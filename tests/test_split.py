@@ -1,5 +1,7 @@
 """Tests for the orthogonal splitting of fields on the disc and ball."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -280,10 +282,25 @@ def nan_outside_half(r, th):
     return np.where(np.asarray(r) > 0.5, np.nan, standard_field(r, th))
 
 
+def inf_near_origin(r, th):
+    return np.where(np.asarray(r) < 0.1, np.inf, standard_field(r, th))
+
+
 def test_check_split_refuses_a_nan_report():
-    # the Gram-Schmidt step divides NaN by NaN; only the verification refuses it
-    with np.errstate(invalid="ignore"):
-        pair = make_pos(nan_outside_half)
+    # make_pos refuses this field; a pair whose field is swapped for it after
+    # the split still gets a NaN report, and only the verification refuses it
+    pair = dataclasses.replace(make_pos(standard_field), f=nan_outside_half)
     assert np.isnan(verify_pos(pair).relative)
     with pytest.raises(UsageError, match="relative residual nan"):
         check_split(pair)
+
+
+@pytest.mark.parametrize("field", [nan_outside_half, inf_near_origin])
+@pytest.mark.parametrize("d", [2, 3])
+def test_make_pos_refuses_non_finite_samples(field, d):
+    # nan_outside_half is finite at the origin and not at the split nodes;
+    # inf_near_origin is not finite at the origin
+    def f(r, *thetas):
+        return field(r, thetas[0])
+    with pytest.raises(UsageError, match="non-finite"):
+        make_pos(f, d=d)
