@@ -3,8 +3,10 @@
 For the weighted basis with alpha = beta > 0, the Galerkin matrix of d/dx is
 exactly skew symmetric and has rank-2 semi-separable structure: below the
 diagonal every entry is a_i * b_j, above it -a_j * b_i, and a checkerboard of
-entries vanishes by parity.  That structure gives O(M) matrix-vector
-products.  For contrast we also build two families where skew symmetry is
+entries vanishes by parity.  Folding the checkerboard into the generators
+gives rank-2 generators of an unmasked matrix, and prefix sums over them give
+O(M) matrix-vector products; the printed counts are the multiplies of that
+kernel.  For contrast we also build two families where skew symmetry is
 impossible and show the closed forms of their obstructions.
 
 Run:  python3 demos/02_skew_differentiation.py

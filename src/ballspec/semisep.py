@@ -5,8 +5,10 @@ A SemiSep2 holds an (M+1)x(M+1) matrix through generator sequences: the
 strictly lower part is an outer product p q^T, the strictly upper part
 u v^T, each of rank at most 2, plus a diagonal.  An optional parity mask
 zeroes every entry with even row+column sum; masked instances carry rank-1
-generators so that every off-diagonal block of the materialised matrix
-still has rank at most 2.
+generators, and the mask folds them into rank-2 generators of the unmasked
+form (p_i q_j [(i+j) odd] = (p*even)_i (q*odd)_j + (p*odd)_i (q*even)_j).
+to_dense, matvec and matvec_counted all read that one form, and the
+multiply counter counts the kernel that matvec runs.
 
 Shifted solves take a SemiSep2, a dense array or a SchurForm A = Z T Z^H,
 and one shift or an array of them.  contour_apply factors A once into a
@@ -20,6 +22,7 @@ against the dense A, never against T.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +60,8 @@ class SemiSep2:
     A[i, j] = sum_s u[s, i] v[s, j]   for i < j,
     A[i, i] = diag[i],
     all multiplied by the parity mask (row+col odd) when parity_mask is set.
+    The mask is applied in one place: _generators folds it into rank-2
+    generators of this unmasked form, and every method reads those.
     """
 
     size: int
@@ -80,105 +85,50 @@ class SemiSep2:
         if self.parity_mask and (self.p.shape[0] > 1 or self.u.shape[0] > 1):
             raise SizeMismatchError("parity-masked instances use rank-1 generators")
 
-    # -- dense interface ----------------------------------------------------
+    def _generators(self):
+        """(p, q, u, v, diag) of the unmasked rank-2 form of this matrix.
+
+        A masked entry p_i q_j [(i+j) odd] is (p*even)_i (q*odd)_j +
+        (p*odd)_i (q*even)_j, and likewise above the diagonal; the masked
+        diagonal is zero.  Every masked-out entry is then a product with an
+        exact zero, so nothing cancels.
+        """
+        if not self.parity_mask:
+            return self.p, self.q, self.u, self.v, self.diag
+        odd = np.arange(self.size) % 2
+        rows = np.array([1 - odd, odd], dtype=float)  # [even; odd]
+        cols = rows[::-1]  # [odd; even]
+        return self.p * rows, self.q * cols, self.u * rows, self.v * cols, np.zeros(self.size)
 
     def to_dense(self) -> np.ndarray:
-        n = self.size
-        lower = self.p.T @ self.q
-        upper = self.u.T @ self.v
-        out = np.tril(lower, -1) + np.triu(upper, 1) + np.diag(self.diag)
-        if self.parity_mask:
-            idx = np.arange(n)
-            out *= (idx[:, None] + idx[None, :]) % 2
-        return out
-
-    # -- fast algebra -------------------------------------------------------
+        p, q, u, v, diag = self._generators()
+        return np.tril(p.T @ q, -1) + np.triu(u.T @ v, 1) + np.diag(diag)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Dense-equivalent product A @ x in O(size) flops via prefix sums."""
+        return self.matvec_counted(x)[0]
+
+    def matvec_counted(self, x):
+        """(A @ x, multiply_count): matvec's own kernel and its multiplies.
+
+        The count is the total size of the arrays the kernel multiplies,
+        q x, p lo, diag x, v x and u hi, so it is linear in size: 9 size - 4
+        for a masked instance, whose folded generators have rank 2.
+        """
         x = np.asarray(x)
         if x.shape != (self.size,):
             raise SizeMismatchError(f"vector length {x.shape} != {self.size}")
-        if self.parity_mask:
-            return self._matvec_masked(x)
+        p, q, u, v, diag = self._generators()
         # lower part: y_i += p[:,i] . cumsum_{j<i} q[:,j] x_j
-        qx = self.q * x
+        qx = q * x
         lo = np.cumsum(qx, axis=1)
-        y = self.diag * x
-        y[1:] += np.einsum("si,si->i", self.p[:, 1:], lo[:, :-1])
+        y = diag * x
+        y[1:] += np.einsum("si,si->i", p[:, 1:], lo[:, :-1])
         # upper part: suffix sums of v x
-        vx = self.v * x
+        vx = v * x
         hi = np.cumsum(vx[:, ::-1], axis=1)[:, ::-1]
-        y[:-1] += np.einsum("si,si->i", self.u[:, :-1], hi[:, 1:])
-        return y
-
-    def _matvec_masked(self, x):
-        n = self.size
-        idx = np.arange(n)
-        y = np.zeros(n, dtype=np.result_type(x.dtype, float))
-        # nonzero entries need j of opposite parity to i
-        qx = self.q[0] * x
-        vx = self.v[0] * x
-        for par in (0, 1):
-            sel = (idx % 2) == 1 - par  # source parity opposite to target par
-            rows = (idx % 2) == par
-            lo = np.cumsum(np.where(sel, qx, 0.0))
-            hi = np.cumsum(np.where(sel, vx, 0.0)[::-1])[::-1]
-            contrib = np.zeros(n, dtype=y.dtype)
-            contrib[1:] += self.p[0][1:] * lo[:-1]
-            contrib[:-1] += self.u[0][:-1] * hi[1:]
-            y[rows] += contrib[rows]
-        # diagonal has even parity, always masked out
-        return y
-
-    def matvec_counted(self, x):
-        """Reference O(size) matvec that counts multiplications.
-
-        Pure-Python prefix-sum sweep used by the complexity harness; returns
-        (A @ x, multiply_count).
-        """
-        n = self.size
-        y = [0.0] * n
-        mults = 0
-        rank_lo = self.p.shape[0]
-        rank_hi = self.u.shape[0]
-        # forward sweep (strictly lower part)
-        if self.parity_mask:
-            acc = [0.0, 0.0]  # per source parity
-            for i in range(n):
-                if i >= 1:
-                    y[i] += self.p[0][i] * acc[1 - (i % 2)]
-                    mults += 1
-                acc[i % 2] += self.q[0][i] * x[i]
-                mults += 1
-            acc = [0.0, 0.0]
-            for i in range(n - 1, -1, -1):
-                if i <= n - 2:
-                    y[i] += self.u[0][i] * acc[1 - (i % 2)]
-                    mults += 1
-                acc[i % 2] += self.v[0][i] * x[i]
-                mults += 1
-        else:
-            acc = [0.0] * rank_lo
-            for i in range(n):
-                for s in range(rank_lo):
-                    if i >= 1:
-                        y[i] += self.p[s][i] * acc[s]
-                        mults += 1
-                    acc[s] += self.q[s][i] * x[i]
-                    mults += 1
-            acc = [0.0] * rank_hi
-            for i in range(n - 1, -1, -1):
-                for s in range(rank_hi):
-                    if i <= n - 2:
-                        y[i] += self.u[s][i] * acc[s]
-                        mults += 1
-                    acc[s] += self.v[s][i] * x[i]
-                    mults += 1
-            for i in range(n):
-                y[i] += self.diag[i] * x[i]
-                mults += 1
-        return np.array(y), mults
+        y[:-1] += np.einsum("si,si->i", u[:, :-1], hi[:, 1:])
+        return y, qx.size + p[:, 1:].size + y.size + vx.size + u[:, :-1].size
 
 
 @dataclass(frozen=True)
@@ -270,7 +220,10 @@ def solve_shifted(a, lam, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         cols = []
         for shift in np.atleast_1d(lams):
             try:
-                cols.append(scipy.linalg.solve(shift * np.eye(n) - dense, rhs))
+                with warnings.catch_warnings():
+                    # the residual certificate below judges an ill-conditioned shift
+                    warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                    cols.append(scipy.linalg.solve(shift * np.eye(n) - dense, rhs))
             except scipy.linalg.LinAlgError as exc:
                 raise SolveError(f"shift {shift} is singular: {exc}") from exc
         x = np.stack(cols, axis=1) if cols else np.empty((n, 0), dtype=complex)
@@ -345,20 +298,19 @@ def contour_apply(g, a, v: np.ndarray, spec: ContourSpec | None = None) -> np.nd
     T, so no other eigensolve runs.  Each doubling solves only at its new
     (odd-indexed) nodes, all of them in one batched solve_shifted call: the
     2n-th roots of unity contain the n-th ones, so the node sum carries
-    over.  g is called once per node with a scalar.  A matrix with a
-    non-finite entry raises ParameterError before the Schur factorisation.
+    over.  g is called once per node with a scalar.  A given contour that
+    leaves an eigenvalue on or outside its circle raises ContourError.  A
+    matrix with a non-finite entry raises ParameterError before the Schur
+    factorisation.
     """
     v = np.asarray(v, dtype=complex)
     form = schur_form(a)
-    if spec is None:
-        # encloses the spectrum by construction: |lam| <= |c| + spread < |c| + radius
-        spec = default_contour(form)
-    else:
-        rho = spectral_radius_estimate(form)
-        if rho > abs(spec.center) + spec.radius:
-            raise ContourError(
-                f"spectral radius {rho:.3e} not enclosed by contour of radius {spec.radius:.3e}"
-            )
+    spec = default_contour(form) if spec is None else spec
+    # the default contour encloses the spectrum by construction; a given one must too
+    distance = np.abs(form.t.diagonal() - spec.center)
+    if np.any(distance >= spec.radius):
+        raise ContourError(f"an eigenvalue lies {np.max(distance):.3e} from the contour's "
+                           f"centre, outside its radius {spec.radius:.3e}")
     scale = max(np.linalg.norm(v), 1e-300)
     total = np.zeros_like(v)
     prev = None

@@ -106,7 +106,17 @@ def test_semisep_matvec_equals_dense_matvec(seed, size, rank, masked, complex_x)
     x = rng.standard_normal(size) + (1j * rng.standard_normal(size) if complex_x else 0.0)
     dense = a.to_dense()
     bound = 1e-13 * (1.0 + np.abs(dense) @ np.abs(x))
-    assert np.all(np.abs(a.matvec(x) - dense @ x) <= bound)
+    y = a.matvec(x)
+    assert np.all(np.abs(y - dense @ x) <= bound)
+    # the counter runs matvec's own kernel
+    counted, mults = a.matvec_counted(x)
+    assert counted.dtype == y.dtype and counted.tobytes() == y.tobytes()
+    assert mults <= 9 * size
+    if masked:
+        # the checkerboard of the rank-1 form, built here from the stored generators
+        i, j = np.indices((size, size))
+        plain = np.tril(a.p.T @ a.q, -1) + np.triu(a.u.T @ a.v, 1)
+        assert np.array_equal(dense, np.where((i + j) % 2 == 1, plain, 0.0))
 
 
 def non_normal_semisep(seed, size, norm):
@@ -220,6 +230,21 @@ def test_make_pos_is_rotation_equivariant(phi, d):
         m1 = np.atleast_1d(mode)[0]
         assert abs(turned.origin_coeffs[mode] - g * np.exp(1j * m1 * phi)) <= 1e-12 * abs(g)
         assert abs(turned.c[mode] - pair.c[mode]) <= 1e-12 * abs(pair.c[mode])
+
+
+@settings(max_examples=10, deadline=None)
+@given(s=st.floats(1e-12, 1e6), d=st.sampled_from([2, 3]))
+def test_make_pos_is_scale_equivariant(s, d):
+    """f -> s f keeps the modes and c and maps g_m to s g_m."""
+    f = rotation_field(d)
+    scaled = lambda *args: s * f(*args)
+    kw = dict(d=d, k_max=4)
+    pair, grown = make_pos(f, **kw), make_pos(scaled, **kw)
+    assert list(grown.origin_coeffs) == list(pair.origin_coeffs)
+    assert len(pair.origin_coeffs) == 7
+    for mode, g in pair.origin_coeffs.items():
+        assert abs(grown.origin_coeffs[mode] - s * g) <= 1e-12 * abs(s * g)
+        assert abs(grown.c[mode] - pair.c[mode]) <= 1e-12 * abs(pair.c[mode])
 
 
 @functools.lru_cache(maxsize=None)

@@ -105,6 +105,25 @@ def test_contour_rejects_non_enclosing_circle():
         contour_apply(np.exp, d, np.ones(13), tiny)
 
 
+@pytest.mark.parametrize("a, spec", [
+    (np.array([[0.0]]), ContourSpec(center=5.0, radius=1.0)),
+    (np.diag([0.0, 3.0]), ContourSpec(center=3.0, radius=1.0)),
+])
+def test_contour_that_misses_an_eigenvalue_raises_contour_error(a, spec):
+    # the spectral radius lies inside |c| + r, yet the eigenvalue 0 lies
+    # outside the circle, so the quadrature would drop its term silently
+    with pytest.raises(ContourError, match="outside"):
+        contour_apply(np.exp, a, np.ones(len(a), dtype=complex), spec)
+
+
+def test_ill_conditioned_dense_shift_is_refused_with_solve_error():
+    # scipy warns that lam*I - A is ill-conditioned (rcond ~ 1e-39); the
+    # residual certificate, not the warning, decides the outcome
+    a = np.diag(np.full(23, 2.0), 1)
+    with pytest.raises(SolveError, match="exceeds tolerance"):
+        solve_shifted(a, 0.05, np.ones(24))
+
+
 def counting(calls, name, fn):
     """fn, counting its calls in calls[name]."""
     def wrapper(*args, **kwargs):
