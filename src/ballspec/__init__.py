@@ -34,7 +34,6 @@ from .diffmat import (
 )
 from .semisep import (
     SemiSep2,
-    ContourSpec,
     SchurForm,
     schur_form,
     solve_shifted,

@@ -46,8 +46,6 @@ from .pde import (
     abscissa_scan,
     assemble,
     export_trajectory_csv,
-    norm_bound,
-    propagate,
     spectral_abscissa,
     stability_report,
 )
@@ -107,10 +105,8 @@ def test_field(d: int = 2):
     return f
 
 
-def loglog_fit(qs, vals):
-    """(slope, r_squared) of a least-squares line through (log q, log v)."""
-    x = np.log(np.asarray(qs, dtype=float))
-    y = np.log(np.asarray(vals, dtype=float))
+def _line_fit(x, y):
+    """(slope, r_squared) of a least-squares line through (x, y)."""
     if x.size < 2:
         return 0.0, 1.0
     slope, intercept = np.polyfit(x, y, 1)
@@ -118,6 +114,11 @@ def loglog_fit(qs, vals):
     ss_tot = np.sum((y - y.mean()) ** 2)
     r2 = 1.0 - np.sum(resid ** 2) / ss_tot if ss_tot > 0 else 1.0
     return float(slope), float(r2)
+
+
+def loglog_fit(qs, vals):
+    """(slope, r_squared) of a least-squares line through (log q, log v)."""
+    return _line_fit(np.log(np.asarray(qs, dtype=float)), np.log(np.asarray(vals, dtype=float)))
 
 
 def nonzero_decay(report: ErrorReport, rel_tol: float = 1e-12):
@@ -286,11 +287,7 @@ def run_ball3d(config: RunConfig):
     report = _split_expansion(config, 1e-9, d=3)
     nz = nonzero_decay(report)
     # geometric decay: log-linear in the position within the nonzero sequence
-    pos = 1.0 + np.arange(len(nz))
-    y = np.log([v for _, v in nz])
-    slope, intercept = np.polyfit(pos, y, 1)
-    resid = y - (slope * pos + intercept)
-    r2 = 1.0 - np.sum(resid ** 2) / np.sum((y - y.mean()) ** 2)
+    slope, r2 = _line_fit(1.0 + np.arange(len(nz)), np.log([v for _, v in nz]))
     print(f"  log-linear decay slope: {slope:.4f} (R^2 = {r2:.4f})")
     _check("log_linear_decay", slope < 0.0 and r2 >= 0.9,
            f"slope = {slope:.3f}, R^2 = {r2:.3f}")
@@ -314,22 +311,15 @@ def run_pde_demo(config: RunConfig):
     rng = np.random.default_rng(config.seed)
     t_grid = (0.1, 1.0, 10.0)
 
+    # ten seeded unit states per PDE, each propagated over t_grid
     op_s = assemble(PdeKind.SCHRODINGER, ops, border)
-    drift = 0.0
-    for _ in range(10):
-        v = rng.standard_normal(op_s.total_size) + 1j * rng.standard_normal(op_s.total_size)
-        v /= np.linalg.norm(v)
-        for t in t_grid:
-            drift = max(drift, abs(np.linalg.norm(propagate(op_s, v, t)) - 1.0))
+    drift = max(abs(row.norm_ratio - 1.0)
+                for _ in range(10) for row in stability_report(op_s, t_grid, rng))
     _check("unitary_propagation", drift <= 1e-9, f"max drift = {drift:.3e}")
 
     op_d = assemble(PdeKind.DIFFUSION, ops, border)
-    ratio = 0.0
-    for _ in range(10):
-        v = rng.standard_normal(op_d.total_size) + 1j * rng.standard_normal(op_d.total_size)
-        v /= np.linalg.norm(v)
-        for t in t_grid:
-            ratio = max(ratio, np.linalg.norm(propagate(op_d, v, t)) / norm_bound(op_d, t))
+    ratio = max(row.norm_ratio / row.bound
+                for _ in range(10) for row in stability_report(op_d, t_grid, rng))
     _check("dissipative_propagation", ratio <= 1.0 + 1e-8,
            f"max norm/bound = {ratio:.6f}")
     abscissa = spectral_abscissa(op_d)

@@ -10,19 +10,18 @@ form (p_i q_j [(i+j) odd] = (p*even)_i (q*odd)_j + (p*odd)_i (q*even)_j).
 to_dense, matvec and matvec_counted all read that one form, and the
 multiply counter counts the kernel that matvec runs.
 
-Shifted solves take a SemiSep2, a dense array or a SchurForm A = Z T Z^H,
-and one shift or an array of them.  contour_apply factors A once into a
-SchurForm and reads the spectrum that places the contour off the diagonal
-of T.  Each doubling of the node count then makes one batched solve: one
-back-substitution sweep over the rows of T serves every new node, and the
-products with Z, Z^H and A, including one refinement step, are
-matrix-matrix products.  Every column is still certified by its residual
-against the dense A, never against T.
+The complex Schur form A = Z T Z^H (SchurForm) is the one factorisation:
+shifted solves, the spectrum and the contour all read it.  solve_shifted
+takes a SemiSep2, a dense array or a SchurForm, and one shift or an array
+of them; every shift shares one back-substitution sweep over the rows of T
+and one refinement step, and every column is certified by its residual
+against the dense A, never against T.  contour_apply factors A once,
+places its circle off the diagonal of T, and makes one batched solve per
+doubling of the node count.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,28 +139,22 @@ class SchurForm:
     z: np.ndarray
 
 
-def _dense(a) -> np.ndarray:
-    """The dense matrix of a SemiSep2, a SchurForm or an array."""
-    if isinstance(a, SchurForm):
-        return a.dense
-    return a.to_dense() if isinstance(a, SemiSep2) else np.asarray(a)
-
-
-def _finite_dense(a) -> np.ndarray:
-    """_dense(a), refused with ParameterError unless every entry is finite."""
-    dense = _dense(a)
-    if not np.all(np.isfinite(dense)):
-        raise ParameterError("matrix has non-finite entries")
-    return dense
+def _refuse_non_finite(what: str, x) -> None:
+    if not np.all(np.isfinite(x)):
+        raise ParameterError(f"{what} has non-finite entries")
 
 
 def schur_form(a) -> SchurForm:
     """One complex Schur factorisation of a SemiSep2 or dense matrix.
 
     A real matrix takes the real Schur form, made complex triangular by
-    rsf2csf; a matrix with a non-finite entry raises ParameterError.
+    rsf2csf; a matrix with a non-finite entry raises ParameterError.  A
+    SchurForm is returned as it is, so every caller factors at most once.
     """
-    dense = _finite_dense(a)
+    if isinstance(a, SchurForm):
+        return a
+    dense = a.to_dense() if isinstance(a, SemiSep2) else np.asarray(a)
+    _refuse_non_finite("matrix", dense)
     if np.isrealobj(dense):
         t, z = scipy.linalg.rsf2csf(*scipy.linalg.schur(dense, output="real"))
     else:
@@ -197,37 +190,28 @@ def solve_shifted(a, lam, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Solve (lam*I - A) x = rhs with a post-solve residual certificate.
 
     lam is one shift, or a 1-D array of shifts: then the result has one
-    column per shift.  A may be a SemiSep2 or a dense array (one O(n^3)
-    dense LU per shift), or a SchurForm: then every shift shares one
-    back-substitution sweep over the rows of T, vectorised across shifts,
-    and one step of iterative refinement, so k shifts cost O(k n^2) in
-    matrix-matrix products.  Either way every column is certified,
-    ||(lam*I - A) x - rhs|| <= tol ||rhs||, against the dense A, never
-    against T; a singular shift or a failed certificate raises SolveError,
-    whose residual is the worst column's.
+    column per shift.  A is a SchurForm, or a SemiSep2 or dense array that
+    is Schur-factored first (O(n^3) once, whatever the number of shifts).
+    Every shift shares one back-substitution sweep over the rows of T,
+    vectorised across shifts, and one step of iterative refinement, so k
+    shifts cost O(k n^2) in matrix-matrix products.  Every column is
+    certified, ||(lam*I - A) x - rhs|| <= tol ||rhs||, against the dense A,
+    never against T; a singular shift or a failed certificate raises
+    SolveError, whose residual is the worst column's.  A non-finite rhs,
+    shift or matrix entry raises ParameterError before the factorisation.
     """
-    dense = _dense(a)
-    n = dense.shape[0]
     rhs = np.asarray(rhs)
-    if rhs.shape != (n,):
-        raise SizeMismatchError(f"rhs length {rhs.shape} != {n}")
     lams = np.asarray(lam)
     if lams.ndim > 1:
         raise SizeMismatchError(f"shifts must be a scalar or a 1-D array, got shape {lams.shape}")
-    if isinstance(a, SchurForm):
-        x = _schur_solve(a, np.atleast_1d(lams).astype(complex), rhs)
-    else:
-        cols = []
-        for shift in np.atleast_1d(lams):
-            try:
-                with warnings.catch_warnings():
-                    # the residual certificate below judges an ill-conditioned shift
-                    warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                    cols.append(scipy.linalg.solve(shift * np.eye(n) - dense, rhs))
-            except scipy.linalg.LinAlgError as exc:
-                raise SolveError(f"shift {shift} is singular: {exc}") from exc
-        x = np.stack(cols, axis=1) if cols else np.empty((n, 0), dtype=complex)
-    res = np.linalg.norm(x * lams.reshape(-1) - dense @ x - rhs[:, None], axis=0)
+    _refuse_non_finite("rhs", rhs)
+    _refuse_non_finite("shift", lams)
+    form = schur_form(a)
+    n = form.dense.shape[0]
+    if rhs.shape != (n,):
+        raise SizeMismatchError(f"rhs length {rhs.shape} != {n}")
+    x = _schur_solve(form, np.atleast_1d(lams).astype(complex), rhs)
+    res = np.linalg.norm(x * lams.reshape(-1) - form.dense @ x - rhs[:, None], axis=0)
     scale = max(np.linalg.norm(rhs), 1e-300)
     if not np.all(res <= tol * scale):
         worst = float(np.max(res))
@@ -237,87 +221,63 @@ def solve_shifted(a, lam, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 #: default_contour's radius over the spectrum's spread about its centroid
 CONTOUR_MARGIN = 1.25
-#: contour_apply's relative agreement target and node budget
+#: contour_apply's relative agreement target, first node count and node budget
 CONTOUR_TOL = 1e-10
+CONTOUR_FIRST_NODES = 32
 CONTOUR_MAX_NODES = 1024
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Circular contour enclosing the spectrum, sampled at roots of unity."""
-
-    center: complex = 0.0
-    radius: float = 1.0
-    nodes: int = 32
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ParameterError(f"contour radius must be positive, got {self.radius}")
-        if self.nodes < 8:
-            raise ParameterError(f"need at least 8 contour nodes, got {self.nodes}")
-
-
-def _eigenvalues(a) -> np.ndarray:
-    """The spectrum of A: a SchurForm's diagonal, else one eigensolve."""
-    if isinstance(a, SchurForm):
-        return a.t.diagonal()
-    dense = _finite_dense(a)
-    return np.linalg.eigvals(dense) if dense.size else np.zeros(0)
-
-
 def spectral_radius_estimate(a) -> float:
-    eig = _eigenvalues(a)
+    """The largest |lam| on the diagonal of A's Schur form."""
+    eig = schur_form(a).t.diagonal()
     return float(np.max(np.abs(eig))) if eig.size else 0.0
 
 
-def default_contour(a) -> ContourSpec:
-    """Circle centred at the eigenvalue centroid, CONTOUR_MARGIN times its spread.
+def default_contour(a) -> tuple[complex, float]:
+    """(center, radius): a circle about the eigenvalue centroid, CONTOUR_MARGIN times its spread.
 
     The spread counts as at least a tenth of the centroid's modulus (and
-    1e-8).  A SchurForm gives its eigenvalues off the diagonal of T, without
-    a further eigensolve.
+    1e-8), so the circle strictly encloses every eigenvalue.  The
+    eigenvalues are the diagonal of A's Schur form; a SchurForm gives them
+    without a further factorisation.
     """
-    eig = _eigenvalues(a)
+    eig = schur_form(a).t.diagonal()
     if eig.size == 0:
-        return ContourSpec(center=0.0, radius=1e-8)
+        return 0.0, 1e-8
     center = complex(np.mean(eig))
     spread = float(np.max(np.abs(eig - center)))
     # a node at distance r from an eigenvalue lam is solved to about
     # eps |lam| / r relative, so a spectrum without spread keeps r >= |c| / 10
     floor = max(1e-8, 0.1 * abs(center))
-    return ContourSpec(center=center, radius=CONTOUR_MARGIN * max(spread, floor))
+    return center, CONTOUR_MARGIN * max(spread, floor)
 
 
-def contour_apply(g, a, v: np.ndarray, spec: ContourSpec | None = None) -> np.ndarray:
+def contour_apply(g, a, v: np.ndarray) -> np.ndarray:
     """Apply the analytic matrix function g(A) to v by resolvent quadrature.
 
-    Trapezoidal rule on a circle enclosing the spectrum; the node count is
-    doubled until two successive results agree to CONTOUR_TOL (relative to
-    ||v||), up to CONTOUR_MAX_NODES nodes.  A is Schur-factored once, and
-    the contour is placed or checked from the eigenvalues on the diagonal of
-    T, so no other eigensolve runs.  Each doubling solves only at its new
-    (odd-indexed) nodes, all of them in one batched solve_shifted call: the
-    2n-th roots of unity contain the n-th ones, so the node sum carries
-    over.  g is called once per node with a scalar.  A given contour that
-    leaves an eigenvalue on or outside its circle raises ContourError.  A
-    matrix with a non-finite entry raises ParameterError before the Schur
+    Trapezoidal rule on default_contour's circle, which encloses the
+    spectrum; the node count starts at CONTOUR_FIRST_NODES and is doubled
+    until two successive results agree to CONTOUR_TOL (relative to ||v||),
+    or else ContourError is raised past CONTOUR_MAX_NODES nodes.  A is
+    Schur-factored once, and the circle is placed from the eigenvalues on
+    the diagonal of T, so no other eigensolve runs.  Each doubling solves
+    only at its new (odd-indexed) nodes, all of them in one batched
+    solve_shifted call: the 2n-th roots of unity contain the n-th ones, so
+    the node sum carries over.  g is called once per node with a scalar.  A
+    non-finite entry of v or of A raises ParameterError before the Schur
     factorisation.
     """
     v = np.asarray(v, dtype=complex)
+    _refuse_non_finite("vector", v)
     form = schur_form(a)
-    spec = default_contour(form) if spec is None else spec
-    # the default contour encloses the spectrum by construction; a given one must too
-    distance = np.abs(form.t.diagonal() - spec.center)
-    if np.any(distance >= spec.radius):
-        raise ContourError(f"an eigenvalue lies {np.max(distance):.3e} from the contour's "
-                           f"centre, outside its radius {spec.radius:.3e}")
+    center, radius = default_contour(form)
     scale = max(np.linalg.norm(v), 1e-300)
     total = np.zeros_like(v)
     prev = None
-    nodes, new = spec.nodes, np.arange(spec.nodes)
+    nodes, new = CONTOUR_FIRST_NODES, np.arange(CONTOUR_FIRST_NODES)
     while nodes <= CONTOUR_MAX_NODES:
-        lams = spec.center + spec.radius * np.exp(1j * (2.0 * np.pi * new / nodes))
-        weights = np.array([g(lam) for lam in lams]) * (lams - spec.center)
+        lams = center + radius * np.exp(1j * (2.0 * np.pi * new / nodes))
+        weights = np.array([g(lam) for lam in lams]) * (lams - center)
         total += solve_shifted(form, lams, v, tol=1e-8) @ weights
         acc = total / nodes
         if prev is not None and np.linalg.norm(acc - prev) <= CONTOUR_TOL * scale:

@@ -5,10 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ballspec import cli
 from ballspec.basis import (UsageError, angular_dft, angular_grid, cell_measures,
-                            inner_product)
+                            inner_product, on_mesh)
 from ballspec.jacobi import gauss_jacobi_01
 from ballspec.split import (
+    N_RADIAL,
     SplitReport,
     check_split,
     make_pos,
@@ -171,6 +173,23 @@ def test_split_coefficient_is_scale_invariant(s):
     scaled = make_pos(lambda r, th: s * standard_field(r, th)).c
     assert list(scaled) == list(c)
     assert abs(scaled[1] - c[1]) <= 1e-12 * abs(c[1])
+
+
+@pytest.mark.parametrize("f, d, k_max", [(cli.test_field(2), 2, 16), (multi_mode_field, 2, 5),
+                                         (cli.test_field(3), 3, 4)],
+                         ids=["cli_field", "multi_mode", "d3"])
+def test_residual_coeffs_are_the_angular_integrals_of_f1(f, d, k_max):
+    # the per-mode map that analysis applies to f's angular integrals gives
+    # those of f1 = f - f0, at make_pos's own radii and angles
+    pair = make_pos(f, d=d, k_max=k_max)
+    rq, _ = gauss_jacobi_01(N_RADIAL, 0.0, 0.0)
+    axes = (rq, *angular_grid(d, 4 * max(k_max, 1)))
+    F = angular_dft(on_mesh(f, *axes), d, k_max)
+    want = pair.residual_coeffs(F, rq, 2.0 * np.pi ** (d - 1))
+    got = angular_dft(on_mesh(pair.f1, *axes), d, k_max)
+    assert pair.origin_coeffs and got.keys() == want.keys()
+    worst = max(np.max(np.abs(got[m] - want[m])) for m in got)
+    assert worst <= 1e-13 * max(np.max(np.abs(v)) for v in F.values())
 
 
 def field_3d(r, t1, t2):
