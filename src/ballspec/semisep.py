@@ -11,13 +11,17 @@ to_dense, matvec and matvec_counted all read that one form, and the
 multiply counter counts the kernel that matvec runs.
 
 The complex Schur form A = Z T Z^H (SchurForm) is the one factorisation:
-shifted solves, the spectrum and the contour all read it.  solve_shifted
-takes a SemiSep2, a dense array or a SchurForm, and one shift or an array
-of them; every shift shares one back-substitution sweep over the rows of T
-and one refinement step, and every column is certified by its residual
-against the dense A, never against T.  contour_apply factors A once,
-places its circle off the diagonal of T, and makes one batched solve per
-doubling of the node count.
+shifted solves, the spectrum and the contour all read it.  A real A takes
+LAPACK's real Schur form, whose 2x2 blocks one vectorised rotation step
+makes triangular, and stays real in the form: its products with complex
+iterates are real products over their interleaved real and imaginary
+parts.  solve_shifted takes a SemiSep2, a dense array or a SchurForm, and
+one shift or an array of them; every shift shares one back-substitution
+sweep over the rows of T and one refinement step, and every column is
+certified by its residual against the dense A, never against T.
+contour_apply factors A once, places its circle off the diagonal of T,
+and makes one batched solve per batch of nodes: the first two node counts
+together, then one per doubling.
 """
 
 from __future__ import annotations
@@ -132,7 +136,11 @@ class SemiSep2:
 
 @dataclass(frozen=True)
 class SchurForm:
-    """Complex Schur form A = Z T Z^H of a dense matrix, kept next to A."""
+    """Complex Schur form A = Z T Z^H of a dense matrix, kept next to A.
+
+    t is complex upper triangular and z unitary; dense is A itself, real
+    for a real A, so that A x for a complex x is one real product.
+    """
 
     dense: np.ndarray
     t: np.ndarray
@@ -144,23 +152,65 @@ def _refuse_non_finite(what: str, x) -> None:
         raise ParameterError(f"{what} has non-finite entries")
 
 
+def _complex_from_real_schur(t, z):
+    """(T, Z) of the complex Schur form from LAPACK's standardised real one.
+
+    Each 2x2 block of t holds a complex pair and is made triangular by one
+    Givens rotation, as in scipy's rsf2csf; a block counts when its
+    subdiagonal entry exceeds eps (|t_mm| + |t_m+1,m+1|).  A standardised
+    block has t_mm = t_m+1,m+1 and t_m,m+1 t_m+1,m < 0, so its pair is
+    t_mm +- i sqrt(|t_m,m+1| |t_m+1,m|).  The blocks sit on disjoint row and
+    column pairs, so their rotations commute: all are taken from the
+    original t and applied at once to t's rows, t's columns and z's columns.
+    """
+    diag, sub = np.abs(t.diagonal()), t.diagonal(-1)
+    lo = np.flatnonzero(np.abs(sub) > np.finfo(float).eps * (diag[:-1] + diag[1:]))
+    hi, sub = lo + 1, sub[lo]
+    # lam - t_m+1,m+1 for the eigenvalue lam of the block with lam.imag > 0
+    mu = 1j * np.sqrt(np.abs(t.diagonal(1)[lo])) * np.sqrt(np.abs(sub))
+    r = np.hypot(mu.imag, sub)
+    cos, sin = mu / r, sub / r
+    t, z = t.astype(complex), z.astype(complex)
+    # G = [[conj(cos), sin], [-sin, cos]] on each row pair of t, G^H on each
+    # column pair of t and of z
+    c, s = cos[:, None], sin[:, None]
+    t[lo], t[hi] = c.conj() * t[lo] + s * t[hi], c * t[hi] - s * t[lo]
+    for x in (t, z):
+        x[:, lo], x[:, hi] = x[:, lo] * cos + x[:, hi] * sin, x[:, hi] * cos.conj() - x[:, lo] * sin
+    return np.triu(t), z
+
+
 def schur_form(a) -> SchurForm:
     """One complex Schur factorisation of a SemiSep2 or dense matrix.
 
-    A real matrix takes the real Schur form, made complex triangular by
-    rsf2csf; a matrix with a non-finite entry raises ParameterError.  A
-    SchurForm is returned as it is, so every caller factors at most once.
+    A real matrix takes LAPACK's real Schur form, whose 2x2 blocks are made
+    triangular by one vectorised rotation step (_complex_from_real_schur),
+    and keeps a real dense; a complex one takes the complex Schur form.  A
+    matrix that is not square and 2-D raises SizeMismatchError, one with a
+    non-finite entry ParameterError.  A SchurForm is returned as it is, so
+    every caller factors at most once.
     """
     if isinstance(a, SchurForm):
         return a
     dense = a.to_dense() if isinstance(a, SemiSep2) else np.asarray(a)
+    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+        raise SizeMismatchError(f"expected a square 2-D matrix, got shape {dense.shape}")
     _refuse_non_finite("matrix", dense)
-    if np.isrealobj(dense):
-        t, z = scipy.linalg.rsf2csf(*scipy.linalg.schur(dense, output="real"))
-    else:
+    if np.iscomplexobj(dense):
+        dense = dense.astype(complex)
         t, z = scipy.linalg.schur(dense, output="complex")
-    # the same values; a complex A is applied to complex iterates without a cast
-    return SchurForm(dense=dense.astype(complex), t=t, z=z)
+    else:
+        dense = dense.astype(float)
+        t, z = _complex_from_real_schur(*scipy.linalg.schur(dense, output="real"))
+    return SchurForm(dense=dense, t=t, z=z)
+
+
+def _times_dense(form: SchurForm, x: np.ndarray) -> np.ndarray:
+    """A x for a complex (n, k) x; a real A takes one real product with x's
+    interleaved real and imaginary parts, an (n, 2k) real view of x."""
+    if np.iscomplexobj(form.dense):
+        return form.dense @ x
+    return (form.dense @ np.ascontiguousarray(x).view(float)).view(complex)
 
 
 def _schur_solve(form: SchurForm, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -183,7 +233,7 @@ def _schur_solve(form: SchurForm, lams: np.ndarray, rhs: np.ndarray) -> np.ndarr
     x = apply(rhs)
     # The Schur form's own backward error is the same at every node, so it
     # does not average out over the contour; one refinement step removes it.
-    return x + apply(rhs - (x * lams - form.dense @ x))
+    return x + apply(rhs - (x * lams - _times_dense(form, x)))
 
 
 def solve_shifted(a, lam, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -211,7 +261,7 @@ def solve_shifted(a, lam, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if rhs.shape != (n,):
         raise SizeMismatchError(f"rhs length {rhs.shape} != {n}")
     x = _schur_solve(form, np.atleast_1d(lams).astype(complex), rhs)
-    res = np.linalg.norm(x * lams.reshape(-1) - form.dense @ x - rhs[:, None], axis=0)
+    res = np.linalg.norm(x * lams.reshape(-1) - _times_dense(form, x) - rhs[:, None], axis=0)
     scale = max(np.linalg.norm(rhs), 1e-300)
     if not np.all(res <= tol * scale):
         worst = float(np.max(res))
@@ -260,12 +310,14 @@ def contour_apply(g, a, v: np.ndarray) -> np.ndarray:
     until two successive results agree to CONTOUR_TOL (relative to ||v||),
     or else ContourError is raised past CONTOUR_MAX_NODES nodes.  A is
     Schur-factored once, and the circle is placed from the eigenvalues on
-    the diagonal of T, so no other eigensolve runs.  Each doubling solves
-    only at its new (odd-indexed) nodes, all of them in one batched
-    solve_shifted call: the 2n-th roots of unity contain the n-th ones, so
-    the node sum carries over.  g is called once per node with a scalar.  A
+    the diagonal of T, so no other eigensolve runs.  Every batch of nodes is
+    one batched solve_shifted call.  The first batch holds the first two
+    node counts: the 2n-th roots of unity contain the n-th ones as their
+    even-indexed members, so the n-node sum is read off its even columns.
+    Each later doubling solves only at its new (odd-indexed) nodes, and the
+    node sum carries over.  g is called once per node with a scalar.  A
     non-finite entry of v or of A raises ParameterError before the Schur
-    factorisation.
+    factorisation, and a non-finite value of g before its batch is solved.
     """
     v = np.asarray(v, dtype=complex)
     _refuse_non_finite("vector", v)
@@ -274,13 +326,19 @@ def contour_apply(g, a, v: np.ndarray) -> np.ndarray:
     scale = max(np.linalg.norm(v), 1e-300)
     total = np.zeros_like(v)
     prev = None
-    nodes, new = CONTOUR_FIRST_NODES, np.arange(CONTOUR_FIRST_NODES)
+    nodes = 2 * CONTOUR_FIRST_NODES
+    new = np.arange(nodes)
     while nodes <= CONTOUR_MAX_NODES:
         lams = center + radius * np.exp(1j * (2.0 * np.pi * new / nodes))
-        weights = np.array([g(lam) for lam in lams]) * (lams - center)
-        total += solve_shifted(form, lams, v, tol=1e-8) @ weights
+        values = np.array([g(lam) for lam in lams])
+        _refuse_non_finite("g on the contour", values)
+        weights = values * (lams - center)
+        x = solve_shifted(form, lams, v, tol=1e-8)
+        if prev is None:
+            prev = x[:, ::2] @ weights[::2] / CONTOUR_FIRST_NODES
+        total += x @ weights
         acc = total / nodes
-        if prev is not None and np.linalg.norm(acc - prev) <= CONTOUR_TOL * scale:
+        if np.linalg.norm(acc - prev) <= CONTOUR_TOL * scale:
             return acc
         prev = acc
         nodes *= 2

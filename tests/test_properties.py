@@ -8,7 +8,8 @@ split obeys Parseval and commutes with rotations in the first angle, the
 radial matrix keeps its structure, the one-core flow equals the dense
 exponential of every mode's block, and on random non-normal rank-2 matrices
 the contour exponential equals the dense one while every batched shifted
-solve is certified or refused.
+solve is certified or refused; the complex Schur form of a real matrix is a
+unitary triangularisation with the eigenvalues of scipy's rsf2csf.
 """
 
 import functools
@@ -16,6 +17,7 @@ import functools
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import assume, given, settings, strategies as st
 
 from ballspec.basis import (BasisSpec, UsageError, ball_phase, ball_radial,
@@ -155,6 +157,41 @@ def test_batched_shifted_solve_is_certified_or_refused(seed, size, norm, shifts)
     assert x.shape == (size, lams.size)
     res = np.linalg.norm(x * lams - dense @ x - b[:, None], axis=0)
     assert np.all(res <= 1e-10 * np.linalg.norm(b))
+
+
+def real_matrix(kind, n, seed, scale):
+    """A real n x n matrix: a general one, a skew rho*Dr/||Dr|| or random
+    checkerboard skew one (all its eigenvalues in 2x2 blocks but at most
+    one), or a triangular one (no 2x2 block)."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    if kind == "Dr":
+        dense = build_Dr(n - 1, 2.0).to_dense() if n else np.zeros((0, 0))
+        return scale * dense / max(np.linalg.norm(dense), 1e-300)
+    if kind == "skew":
+        i, j = np.indices((n, n))
+        m = np.where((i + j) % 2 == 1, m - m.T, 0.0)
+    if kind == "triangular":
+        m = np.triu(m)
+    return scale * m
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["general", "Dr", "skew", "triangular"]), n=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+def test_real_schur_form_is_a_unitary_triangularisation(kind, n, seed, scale):
+    a = real_matrix(kind, n, seed, scale)
+    form = schur_form(a)
+    norm = np.linalg.norm(a)
+    assert form.dense.dtype == float and np.array_equal(form.dense, a)
+    assert np.all(np.tril(form.t, -1) == 0.0)
+    assert np.linalg.norm(form.z.conj().T @ form.z - np.eye(n)) <= 1e-13
+    assert np.linalg.norm(form.z @ form.t @ form.z.conj().T - a) <= 1e-13 * norm
+    # scipy's per-block conversion of the same real Schur form is the oracle
+    want = np.diag(scipy.linalg.rsf2csf(*scipy.linalg.schur(a, output="real"))[0])
+    got = form.t.diagonal()
+    rows, cols = scipy.optimize.linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
+    assert np.all(np.abs(got[rows] - want[cols]) <= 1e-13 * norm)
 
 
 @PROPERTY

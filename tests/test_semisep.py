@@ -10,6 +10,7 @@ from ballspec.semisep import (
     CONTOUR_TOL,
     ContourError,
     SemiSep2,
+    SizeMismatchError,
     SolveError,
     contour_apply,
     default_contour,
@@ -227,8 +228,9 @@ def test_contour_factors_once_and_solves_once_per_node(monkeypatch):
     monkeypatch.setattr(semisep, "solve_shifted", counted_solve_shifted)
     contour_apply(np.exp, a, v)
     assert calls == {"schur": 1, "solve": 0}
-    # one call per doubling: the first n nodes, then n, 2n, ... new ones
-    first = CONTOUR_FIRST_NODES
+    # one call per batch: the first 2n nodes, whose even columns give the
+    # n-node sum, then 2n, 4n, ... new ones
+    first = 2 * CONTOUR_FIRST_NODES
     assert shifts == [first] + [first * 2 ** k for k in range(len(shifts) - 1)]
     assert sum(shifts) == want
     assert want > first
@@ -301,6 +303,27 @@ def test_real_schur_form_is_triangular_and_reproduces_the_matrix(seed):
         assert err <= 1e-13 * np.linalg.norm(as_dense(a), 2)
 
 
+def scaled_Dr(n, rho):
+    """rho Dr / ||Dr||_2 for Dr = build_Dr(n - 1, 2.0), in generator form."""
+    d = build_Dr(n - 1, 2.0)
+    s = rho / np.linalg.norm(d.to_dense(), 2)
+    return SemiSep2(size=n, p=d.p * s, q=d.q, u=d.u * s, v=d.v, parity_mask=d.parity_mask)
+
+
+def test_real_matrices_never_reach_rsf2csf_and_keep_a_real_dense(monkeypatch):
+    monkeypatch.setattr(scipy.linalg, "rsf2csf",
+                        lambda *args, **kwargs: pytest.fail("rsf2csf was called"))
+    v = np.linspace(-1.0, 1.0, 24)
+    general = 0.1 * np.random.default_rng(4).standard_normal((24, 24))
+    for a in (scaled_Dr(24, 5.0), non_normal_semisep(3), general):
+        form = schur_form(a)
+        assert form.dense.dtype == float and np.array_equal(form.dense, as_dense(a))
+        x = solve_shifted(a, SHIFTS, v)
+        assert np.array_equal(x, solve_shifted(form, SHIFTS, v))
+        contour_apply(np.exp, a, v)
+    assert schur_form(complex_dense(5, n=24)).dense.dtype == complex
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_matrix_is_refused_before_the_eigensolve(monkeypatch, bad):
     a = build_Dr(6, 2.0).to_dense()
@@ -340,3 +363,41 @@ def test_non_finite_rhs_shift_or_vector_is_refused_before_the_factorisation(monk
                 solve_shifted(op, lam, rhs)
         with pytest.raises(ParameterError, match="non-finite"):
             contour_apply(np.exp, op, non_finite)
+
+
+@pytest.mark.parametrize("a", [np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2)), np.float64(2.0)])
+def test_a_matrix_that_is_not_square_is_refused_with_size_mismatch(monkeypatch, a):
+    monkeypatch.setattr(scipy.linalg, "schur",
+                        lambda *args, **kwargs: pytest.fail("schur was called"))
+    rhs = np.ones(np.shape(a)[0] if np.ndim(a) else 1)
+    with pytest.raises(SizeMismatchError, match="square"):
+        schur_form(a)
+    with pytest.raises(SizeMismatchError, match="square"):
+        solve_shifted(a, 1.0, rhs)
+    with pytest.raises(SizeMismatchError, match="square"):
+        contour_apply(np.exp, a, rhs)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(np.inf, 0.0),
+                                   complex(0.0, np.nan)])
+def test_a_non_finite_value_of_g_is_refused_before_any_solve(monkeypatch, value):
+    calls = {"solve_shifted": 0}
+    monkeypatch.setattr(semisep, "solve_shifted",
+                        counting(calls, "solve_shifted", semisep.solve_shifted))
+    with pytest.raises(ParameterError, match="non-finite"):
+        contour_apply(lambda z: value, np.eye(2), np.ones(2))
+    assert calls == {"solve_shifted": 0}
+
+
+def test_a_non_finite_value_of_g_is_refused_at_a_later_batch():
+    # g jumps across the real axis, so the sums never agree (see the
+    # ContourError test above), and turns NaN after the first batch
+    calls = []
+
+    def g(z):
+        calls.append(z)
+        return np.nan if len(calls) > 2 * CONTOUR_FIRST_NODES else float(z.imag > 0.0)
+
+    with pytest.raises(ParameterError, match="non-finite"):
+        contour_apply(g, np.diag([1.0, 2.0]), np.ones(2))
+    assert len(calls) == 4 * CONTOUR_FIRST_NODES
