@@ -9,17 +9,19 @@ Fourier phase ball_phase:
 * EX1_WEIGHTED: the (a, 1)-Jacobi family with weight (1-r)^(a/2), orthonormal
   under the polar (r-weighted) inner product on the disc.
 
-Normalisation constants are fixed here so that each family is orthonormal
-under its declared inner product; this is certified by test rather than
-carried over from any printed prefactor.  The angular convention (grid, cell
-measures, centred DFT and phase) and the sampling of fields on open tensor
-meshes (on_mesh) are also defined here, for every module.
+Each radial factor is a constant times its endpoint weight times rows of
+jacobi.orthonormal_all; the constant only maps [-1, 1] to [0, 1] and the
+angles, and orthonormality is certified by test rather than carried over
+from any printed prefactor.  The angular convention (grid, cell measures,
+centred DFT and phase) and the sampling of fields on open tensor meshes
+(on_mesh) are also defined here, for every module.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import isfinite
 from enum import Enum
 
 import numpy as np
@@ -29,9 +31,7 @@ from .jacobi import (
     JacobiParams,
     ParameterError,
     gauss_jacobi_01,
-    norm_h,
-    jacobi_eval,
-    jacobi_eval_all,
+    orthonormal_all,
 )
 
 
@@ -60,6 +60,8 @@ class BasisSpec:
             raise UsageError(f"dimension must be >= 2, got {self.d}")
         if self.N < 0 or self.K < 0:
             raise UsageError("truncations must be nonnegative")
+        if not (isfinite(self.alpha) and isfinite(self.beta)):
+            raise UsageError(f"exponents must be finite, got alpha={self.alpha}, beta={self.beta}")
         if self.kind is BasisKind.WFUNC and (self.alpha <= -1.0 or self.beta <= -1.0):
             raise UsageError("weighted basis needs alpha, beta > -1")
         if self.kind is BasisKind.EX1_WEIGHTED and self.alpha <= 1.0:
@@ -86,20 +88,27 @@ def _radii(r) -> np.ndarray:
     return r
 
 
-def _jacobi_rows(n, params: JacobiParams, x):
-    """(P, sqrt(h)) for the degrees in n, from one recurrence table.
+def _orthonormal_rows(n, params: JacobiParams, x):
+    """Rows n of orthonormal_all(max n, params, x).
 
-    n is a degree or a 1-D sequence of degrees.  An int gives P of shape(x);
-    a sequence gives shape (len(n),) + shape(x), with sqrt(h) shaped to
-    broadcast against it.  Row k of the table does not depend on how many
-    rows are built, so each row equals the single-degree value bit for bit.
+    n is a degree (shape(x)) or a 1-D sequence of degrees ((len(n),) +
+    shape(x)).  Row k does not depend on how many rows are built, so it
+    equals the single-degree value bit for bit.  An empty, non-integer or
+    negative degree raises ParameterError (-1 would read the last row).
     """
     ns = np.asarray(n)
-    if ns.size == 0 or not np.issubdtype(ns.dtype, np.integer):
-        raise ParameterError(f"degrees must be one or more integers, got {n!r}")
-    table = jacobi_eval_all(int(ns.max()), params, x)[ns]
-    h = np.array([norm_h(int(k), params) for k in ns.ravel()])
-    return table, np.sqrt(h).reshape(ns.shape + (1,) * (table.ndim - ns.ndim))
+    if ns.size == 0 or not np.issubdtype(ns.dtype, np.integer) or ns.min() < 0:
+        raise ParameterError(f"degrees must be one or more nonnegative integers, got {n!r}")
+    return orthonormal_all(int(ns.max()), params, x)[ns]
+
+
+def _ex1_domain(alpha: float, n_max: int = 0) -> None:
+    """The domain of the r-weighted family and its oracles: a finite
+    alpha > 1 and a nonnegative degree, or ParameterError."""
+    if not (isfinite(alpha) and alpha > 1.0):
+        raise ParameterError(f"this family needs a finite alpha > 1, got {alpha}")
+    if n_max < 0:
+        raise ParameterError(f"degree must be nonnegative, got {n_max}")
 
 
 def wfunc_radial(spec: BasisSpec, n, r):
@@ -115,8 +124,8 @@ def wfunc_radial(spec: BasisSpec, n, r):
     r = _radii(r)
     scale = np.pi ** (-0.5 * (spec.d - 1)) * 2.0 ** (0.5 * (a + b))
     # (1-r)^(a/2) r^(b/2) evaluates to a literal zero at the endpoints
-    p, sqrt_h = _jacobi_rows(n, JacobiParams(a, b), 2.0 * r - 1.0)
-    return scale * (1.0 - r) ** (0.5 * a) * r ** (0.5 * b) * (p / sqrt_h)
+    return scale * (1.0 - r) ** (0.5 * a) * r ** (0.5 * b) \
+        * _orthonormal_rows(n, JacobiParams(a, b), 2.0 * r - 1.0)
 
 
 def ball_radial(spec: BasisSpec, n, r):
@@ -125,16 +134,16 @@ def ball_radial(spec: BasisSpec, n, r):
 
 
 def ex1_radial(n, alpha: float, r):
-    """Radial factor of the polar-inner-product family of weight (1-r)^(a/2).
+    """Radial factor of the polar-inner-product family of weight (1-r)^(a/2),
+    times the orthonormal (a, 1)-Jacobi polynomial in 2r-1.
 
     n is a degree or a 1-D sequence of degrees, and r is checked, as in
     wfunc_radial.
     """
-    if alpha <= 1.0:
-        raise ParameterError(f"this family needs alpha > 1, got {alpha}")
+    _ex1_domain(alpha)
     r = _radii(r)
-    p, sqrt_h = _jacobi_rows(n, JacobiParams(alpha, 1.0), 2.0 * r - 1.0)
-    return 2.0 ** (0.5 * (alpha + 2.0)) / sqrt_h * (1.0 - r) ** (0.5 * alpha) * p
+    return 2.0 ** (0.5 * (alpha + 2.0)) * (1.0 - r) ** (0.5 * alpha) \
+        * _orthonormal_rows(n, JacobiParams(alpha, 1.0), 2.0 * r - 1.0)
 
 
 def zernike_radial(n: int, r):
@@ -145,8 +154,7 @@ def zernike_radial(n: int, r):
     modes; no analysis or synthesis path uses it.
     """
     r = np.asarray(r, dtype=float)
-    scale = np.sqrt(2.0 / (np.pi * norm_h(n, JacobiParams(0.0, 1.0))))
-    return scale * jacobi_eval(n, JacobiParams(0.0, 1.0), 2.0 * r - 1.0)
+    return np.sqrt(2.0 / np.pi) * _orthonormal_rows(n, JacobiParams(0.0, 1.0), 2.0 * r - 1.0)
 
 
 # -- the angular convention ------------------------------------------------

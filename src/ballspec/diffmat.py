@@ -15,7 +15,7 @@ and the stability contracts, and is applied explicitly where it matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, exp, sqrt
+from math import exp, isfinite, lgamma, sqrt
 
 import numpy as np
 
@@ -24,13 +24,10 @@ from .jacobi import (
     ParameterError,
     gauss_jacobi,
     gauss_jacobi_01,
-    jacobi_eval_all,
-    jacobi_deriv_all,
-    norm_h,
     orthonormal_all,
     orthonormal_deriv_all,
 )
-from .basis import BasisSpec, UsageError, ex1_radial, inner_product
+from .basis import BasisSpec, UsageError, _ex1_domain, inner_product
 from .semisep import SemiSep2
 
 #: d/dr action of the reference-interval radial matrix is this multiple of it.
@@ -58,9 +55,9 @@ def ab_coeffs(m_max: int, alpha: float) -> ABCoeffs:
     or a b_m that overflows raises ParameterError; a_m = (m+a+1/2)/b_m then
     stays a normal double too.
     """
-    if alpha <= 0.0:
+    if not (isfinite(alpha) and alpha > 0.0):
         raise ParameterError(
-            f"skew-symmetric radial matrices need alpha > 0, got {alpha}"
+            f"skew-symmetric radial matrices need a finite alpha > 0, got {alpha}"
         )
     if m_max < 0:
         raise ParameterError("m_max must be nonnegative")
@@ -162,8 +159,7 @@ def asymmetry_S_ex1(n_max: int, alpha: float) -> np.ndarray:
               * sqrt((a+n+1)(a+2m+2)(a+2n+2)/(a+m+1))  for m >= n,
     completed symmetrically.
     """
-    if alpha <= 1.0:
-        raise ParameterError(f"family requires alpha > 1, got {alpha}")
+    _ex1_domain(alpha, n_max)
     s = np.zeros((n_max + 1, n_max + 1))
     for m in range(n_max + 1):
         for n in range(m + 1):
@@ -182,15 +178,14 @@ def ex1_Dr_quad(n_max: int, alpha: float) -> np.ndarray:
     D[m, n] = int_0^1 r phi_m'(r) phi_n(r) dr with phi the radial profiles of
     the polar-inner-product family.
     """
+    _ex1_domain(alpha, n_max)
     nq = n_max + 1 + ORACLE_PAD
     r, w = gauss_jacobi_01(nq, alpha - 1.0, 1.0)
     params = JacobiParams(alpha, 1.0)
-    scale = np.array(
-        [2.0 ** (0.5 * (alpha + 2.0)) / sqrt(norm_h(n, params)) for n in range(n_max + 1)]
-    )
     x = 2.0 * r - 1.0
-    pt = jacobi_eval_all(n_max, params, x) * scale[:, None]
-    dpt = jacobi_deriv_all(n_max, params, x) * scale[:, None]
+    scale = 2.0 ** (0.5 * (alpha + 2.0))
+    pt = scale * orthonormal_all(n_max, params, x)
+    dpt = scale * orthonormal_deriv_all(n_max, params, x)
     # r phi_m' phi_n = (1-r)^(a-1) r [ 2(1-r) P'_m P_n - a/2 P_m P_n ]
     block = 2.0 * (1.0 - r) * dpt[:, None, :] * pt[None, :, :] \
         - 0.5 * alpha * pt[:, None, :] * pt[None, :, :]
@@ -199,9 +194,11 @@ def ex1_Dr_quad(n_max: int, alpha: float) -> np.ndarray:
 
 def ex1_S_quad(n_max: int, alpha: float) -> np.ndarray:
     """Quadrature oracle for the overlap matrix: S[m,n] = int_0^1 phi_m phi_n dr."""
-    nq = n_max + 1 + ORACLE_PAD
-    r, w = gauss_jacobi_01(nq, alpha, 0.0)
-    vals = ex1_radial(range(n_max + 1), alpha, r) / (1.0 - r) ** (0.5 * alpha)
+    _ex1_domain(alpha, n_max)
+    # the rule absorbs the weight (1-r)^a of phi_m phi_n
+    r, w = gauss_jacobi_01(n_max + 1 + ORACLE_PAD, alpha, 0.0)
+    x = 2.0 * r - 1.0
+    vals = 2.0 ** (0.5 * (alpha + 2.0)) * orthonormal_all(n_max, JacobiParams(alpha, 1.0), x)
     return np.einsum("k,mk,nk->mn", w, vals, vals)
 
 
@@ -212,8 +209,9 @@ def asymmetry_beta0(n: int, m: int, alpha: float) -> float:
     (boundary term -phi_n(0) phi_m(0)); the closed form keeps the sign
     convention of the published display.
     """
-    if alpha < 0.0:
-        raise ParameterError("alpha must be nonnegative")
+    if not (isfinite(alpha) and alpha >= 0.0 and min(n, m) >= 0):
+        raise ParameterError("the beta = 0 family needs a finite, nonnegative alpha and "
+                             f"nonnegative degrees, got n={n}, m={m}, alpha={alpha}")
     return (-1.0) ** (n + m) * sqrt((alpha + 2.0 * n + 1.0) * (alpha + 2.0 * m + 1.0))
 
 

@@ -6,8 +6,9 @@ convention of ``basis`` (exact for the band-limited test fields); the radial
 direction by Gauss-Jacobi rules whose weight absorbs the basis' algebraic
 endpoint factors, so the rule only ever sees polynomial-times-analytic
 integrands.  One analysis core serves both families, each binding its
-radial weight, table and scale; synthesis and error reports pick the radial
-family from the coefficients' spec (kind and d).
+rule weight, Jacobi exponents and scale: the radial table is
+jacobi.orthonormal_all for either.  Synthesis and error reports pick the
+radial family from the coefficients' spec (kind and d).
 """
 
 from __future__ import annotations
@@ -66,19 +67,19 @@ def flatten_index(n: int, m: int, spec: BasisSpec) -> int:
     return n * (2 * spec.K + 1) + (m + spec.K)
 
 
-def _analyze(pair: SplitPair, spec: BasisSpec, weight, table, scale) -> np.ndarray:
-    """fhat[:, mode] = scale * (table(r) @ (w * F_mode(r))) over the flat modes.
+def _analyze(pair: SplitPair, spec: BasisSpec, weight, params: JacobiParams, scale) -> np.ndarray:
+    """fhat[:, mode] = scale * (orthonormal_all(N, params, 2r-1) @ (w * F_mode(r))).
 
     pair.f is sampled once, on the open mesh of the Gauss-Jacobi rule for
-    the radial weight (1-r)^weight[0] r^weight[1] times the angular grid;
-    F_mode is the angular integral of f1, mapped from that of f by the
-    split, and table(r) the (N+1, nodes) radial factor.
+    the radial weight (1-r)^weight[0] r^weight[1] (the family's endpoint
+    weight) times the angular grid; F_mode is the angular integral of f1,
+    mapped from that of f by the split.
     """
     r, w = gauss_jacobi_01(spec.N + QUAD_PAD, *weight)
     samples = on_mesh(pair.f, r, *angular_grid(spec.d, max(2 * spec.K + 2, 16)))
     F = pair.residual_coeffs(angular_dft(samples, spec.d, spec.K), r,
                              2.0 * np.pi ** (spec.d - 1))
-    rad = table(r)
+    rad = orthonormal_all(spec.N, params, 2.0 * r - 1.0)
     fhat = np.empty((spec.N + 1, (2 * spec.K + 1) ** (spec.d - 1)), dtype=complex)
     for i, mode in enumerate(angular_modes(spec.d, spec.K)):
         fhat[:, i] = scale * (rad @ (w * F[mode]))
@@ -99,8 +100,7 @@ def analyze(pair: SplitPair, spec: BasisSpec, check: bool = True) -> CoeffTensor
     if check:
         check_split(pair)
     a, b = spec.alpha, spec.beta
-    fhat = _analyze(pair, spec, (0.5 * a, 0.5 * b),
-                    lambda r: orthonormal_all(spec.N, JacobiParams(a, b), 2.0 * r - 1.0),
+    fhat = _analyze(pair, spec, (0.5 * a, 0.5 * b), JacobiParams(a, b),
                     np.pi ** (-0.5 * (spec.d - 1)) * 2.0 ** (0.5 * (a + b)))
     return CoeffTensor(fhat=fhat, fcirc=dict(pair.origin_coeffs), spec=spec, pair=pair)
 
@@ -119,9 +119,8 @@ def analyze_polar_weighted(f, N: int, K: int, alpha: float) -> CoeffTensor:
     """Coefficients of f over the polar-inner-product family (no splitting)."""
     spec = BasisSpec(alpha=alpha, beta=1.0, d=2, N=N, K=K, kind=BasisKind.EX1_WEIGHTED)
     # the rule absorbs (1-r)^(a/2) * r
-    fhat = _analyze(raw_pair(f), spec, (0.5 * alpha, 1.0),
-                    lambda r: ex1_radial(range(N + 1), alpha, r) / (1.0 - r) ** (0.5 * alpha),
-                    (2.0 * np.pi) ** -0.5)
+    fhat = _analyze(raw_pair(f), spec, (0.5 * alpha, 1.0), JacobiParams(alpha, 1.0),
+                    (2.0 * np.pi) ** -0.5 * 2.0 ** (0.5 * (alpha + 2.0)))
     return CoeffTensor(fhat=fhat, fcirc={}, spec=spec, pair=None)
 
 

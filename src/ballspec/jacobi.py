@@ -2,13 +2,14 @@
 
 Everything downstream (basis orthonormality, differentiation matrices,
 coefficient analysis) integrates against Jacobi weights, so this module is
-the numerical oracle for the whole package.
+the numerical oracle for the whole package.  orthonormal_all is its one
+table of orthonormal values, derivatives included (orthonormal_deriv_all).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, exp
+from math import exp, isfinite, lgamma
 
 import numpy as np
 
@@ -33,10 +34,9 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= -1.0 or self.beta <= -1.0:
-            raise ParameterError(
-                f"Jacobi exponents must exceed -1, got alpha={self.alpha}, beta={self.beta}"
-            )
+        if not (isfinite(self.alpha) and isfinite(self.beta) and min(self.alpha, self.beta) > -1.0):
+            raise ParameterError("Jacobi exponents must be finite and exceed -1, got "
+                                 f"alpha={self.alpha}, beta={self.beta}")
 
 
 @dataclass(frozen=True)
@@ -92,21 +92,6 @@ def jacobi_eval_all(n: int, params: JacobiParams, x) -> np.ndarray:
     return out
 
 
-def jacobi_deriv_all(n: int, params: JacobiParams, x) -> np.ndarray:
-    """Derivatives of Jacobi polynomials, degrees 0..n.
-
-    Uses d/dx P_n^(a,b) = (n+a+b+1)/2 * P_{n-1}^(a+1,b+1).
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((n + 1,) + x.shape, dtype=float)
-    if n == 0:
-        return out
-    shifted = jacobi_eval_all(n - 1, JacobiParams(params.alpha + 1.0, params.beta + 1.0), x)
-    for k in range(1, n + 1):
-        out[k] = 0.5 * (k + params.alpha + params.beta + 1.0) * shifted[k - 1]
-    return out
-
-
 def norm_h(n: int, params: JacobiParams) -> float:
     """Squared L2 norm of the degree-n Jacobi polynomial under its weight.
 
@@ -131,17 +116,29 @@ def norm_h(n: int, params: JacobiParams) -> float:
 
 
 def orthonormal_all(n: int, params: JacobiParams, x) -> np.ndarray:
-    """Table of orthonormal Jacobi polynomials, degrees 0..n."""
+    """Table of orthonormal Jacobi polynomials P_k / sqrt(h_k), degrees 0..n,
+    shape (n+1,) + shape(x)."""
     table = jacobi_eval_all(n, params, x)
     scale = np.array([1.0 / np.sqrt(norm_h(k, params)) for k in range(n + 1)])
     return table * scale.reshape((-1,) + (1,) * (table.ndim - 1))
 
 
 def orthonormal_deriv_all(n: int, params: JacobiParams, x) -> np.ndarray:
-    """Derivatives of the orthonormal Jacobi polynomials, degrees 0..n."""
-    table = jacobi_deriv_all(n, params, x)
-    scale = np.array([1.0 / np.sqrt(norm_h(k, params)) for k in range(n + 1)])
-    return table * scale.reshape((-1,) + (1,) * (table.ndim - 1))
+    """Derivatives of the orthonormal Jacobi polynomials, degrees 0..n.
+
+    d/dx Ptilde_k^(a,b) = sqrt(k (k+a+b+1)) Ptilde_{k-1}^(a+1,b+1): the
+    classical (k+a+b+1)/2 P_{k-1}^(a+1,b+1) in the orthonormal scaling.
+    """
+    if n < 0:
+        raise ParameterError(f"degree must be nonnegative, got {n}")
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((n + 1,) + x.shape, dtype=float)
+    if n > 0:
+        a, b = params.alpha, params.beta
+        k = np.arange(1.0, n + 1.0).reshape((-1,) + (1,) * x.ndim)
+        shifted = orthonormal_all(n - 1, JacobiParams(a + 1.0, b + 1.0), x)
+        out[1:] = np.sqrt(k * (k + a + b + 1.0)) * shifted
+    return out
 
 
 def recurrence_coeffs(n: int, params: JacobiParams):

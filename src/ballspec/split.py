@@ -52,7 +52,6 @@ class SplitPair:
     origin_coeffs: dict
     profile: object       # radial template T of the affine part
     d: int = 2
-    degenerate: bool = False
 
     def f1(self, r, *thetas):
         """The residual part f - f0 at the given points."""
@@ -62,16 +61,14 @@ class SplitPair:
         """Angular integrals of f1 at the radii r from those of f (mode -> F(r)).
 
         measure is the angular measure of the integrals, 2 pi^(d-1).  A
-        split mode maps to (1 + c)(F - measure g T(r)), or to zero in a
-        degenerate pair, where every split mode is a template multiple;
-        other modes pass through.
+        split mode maps to (1 + c)(F - measure g T(r)); other modes pass
+        through.
         """
         out = dict(F)
         t = self.profile(r) if self.origin_coeffs else None
         for m, g in self.origin_coeffs.items():
             if m in out:
-                out[m] = np.zeros_like(out[m]) if self.degenerate else \
-                    (1.0 + self.c[m]) * (out[m] - measure * g * t)
+                out[m] = (1.0 + self.c[m]) * (out[m] - measure * g * t)
         return out
 
 
@@ -120,9 +117,10 @@ def make_pos(f, template=_one_minus_r, d: int = 2, k_max: int = 16) -> SplitPair
     samples f again at the radii it is given, except at the N_RADIAL
     Gauss-Legendre nodes of this split (those of verify_pos's body and
     orthogonality meshes), where it reuses the samples taken here.  Analysis
-    and synthesis use the map instead.  A degenerate split has f0 = f.  A
-    sample of f that is not finite, at the origin or at the N_RADIAL nodes,
-    raises UsageError.
+    and synthesis use the map instead; a mode that is a pure template
+    multiple keeps c = 0 and goes through the same map.  A sample of f that
+    is not finite, at the origin or at the N_RADIAL nodes, raises
+    UsageError.
     """
     _check_dim(d)
     if k_max < 0:
@@ -142,13 +140,12 @@ def make_pos(f, template=_one_minus_r, d: int = 2, k_max: int = 16) -> SplitPair
     resid_at_nodes = _residual_profiles(_finite_samples(f, rq, d, n_angles), modes, g, template,
                                         d, rq) if modes else {}
     c = {}
-    pure = []   # modes that are already a pure template multiple keep c = 0
     for m in modes:
         resid = resid_at_nodes[m]
         denom = np.dot(wq, np.abs(resid) ** 2)
-        pure.append(denom <= COEFF_TOL ** 2 * np.dot(wq, np.abs(g[m] * t_nodes) ** 2))
-        c[m] = 0j if pure[-1] else complex(np.dot(wq, g[m] * t_nodes * np.conj(resid)) / denom)
-    degenerate = bool(modes) and all(pure)
+        # a mode that is already a pure template multiple keeps c = 0
+        pure = denom <= COEFF_TOL ** 2 * np.dot(wq, np.abs(g[m] * t_nodes) ** 2)
+        c[m] = 0j if pure else complex(np.dot(wq, g[m] * t_nodes * np.conj(resid)) / denom)
 
     def f0(r, *thetas):
         r = np.asarray(r, dtype=float)
@@ -173,8 +170,7 @@ def make_pos(f, template=_one_minus_r, d: int = 2, k_max: int = 16) -> SplitPair
             out = out + np.multiply(prof_u[inv].reshape(r.shape), ball_phase(m, thetas))
         return out
 
-    return SplitPair(f=f, f0=f if degenerate else f0, c=c, origin_coeffs=g, profile=template,
-                     d=d, degenerate=degenerate)
+    return SplitPair(f=f, f0=f0, c=c, origin_coeffs=g, profile=template, d=d)
 
 
 def raw_pair(f, d: int = 2) -> SplitPair:

@@ -241,3 +241,14 @@ def test_angular_dft_gather_equals_per_mode_indexing(d, shape, k_max):
         for mode in want:
             assert got[mode].shape == want[mode].shape
             assert np.array_equal(got[mode], want[mode])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_exponents_are_refused(bad):
+    for kind in BasisKind:
+        with pytest.raises(UsageError, match="finite"):
+            BasisSpec(bad, bad, kind=kind)
+        with pytest.raises(UsageError, match="finite"):
+            BasisSpec(2.0, bad, kind=kind)
+    with pytest.raises(ParameterError, match="finite"):
+        ex1_radial(3, bad, 0.5)

@@ -164,3 +164,29 @@ def test_compound_radial_rejects_unnormalised_direction():
     dh = lambda r, th: -np.ones(np.broadcast(np.asarray(r), np.asarray(th)).shape)
     with pytest.raises(UsageError):
         compound_radial(ops, h, dh)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_exponents_are_refused(bad):
+    for call in (lambda: ab_coeffs(5, bad), lambda: build_Dr_quad(5, bad),
+                 lambda: build_Dr_quad(5, 2.0, bad), lambda: ex1_Dr_quad(5, bad),
+                 lambda: ex1_S_quad(5, bad), lambda: asymmetry_S_ex1(3, bad),
+                 lambda: asymmetry_beta0(1, 2, bad)):
+        with pytest.raises(ParameterError, match="finite"):
+            call()
+
+
+@pytest.mark.parametrize("oracle", [ex1_Dr_quad, ex1_S_quad, asymmetry_S_ex1])
+def test_ex1_oracles_share_one_domain(oracle):
+    # the r-weighted family of ex1_radial and BasisSpec: alpha > 1, degrees >= 0
+    for alpha in (0.5, 1.0):
+        with pytest.raises(ParameterError, match="alpha > 1"):
+            oracle(5, alpha)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        oracle(-1, 2.0)
+
+
+@pytest.mark.parametrize("n, m", [(-3, 0), (0, -3)])
+def test_beta0_asymmetry_refuses_negative_degrees(n, m):
+    with pytest.raises(ParameterError, match="nonnegative"):
+        asymmetry_beta0(n, m, 2.0)

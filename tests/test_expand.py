@@ -355,14 +355,19 @@ def test_affine_part_without_pair_is_refused():
 
 
 def test_degenerate_split_expands_the_modes_without_an_origin_value():
-    # mode 1 is a template multiple (a degenerate pair); mode 2 vanishes at
-    # the origin and is carried by fhat
+    # mode 1 is a template multiple (c = 0, a zero residual to rounding);
+    # mode 2 vanishes at the origin, so f1 is the mode-2 part, the part
+    # that fhat carries
     f = lambda r, th: (1.0 - np.asarray(r)) * np.exp(1j * np.asarray(th)) \
         + np.asarray(r) * (1.0 - np.asarray(r)) * np.exp(2j * np.asarray(th))
     pair = make_pos(f)
-    assert pair.degenerate and list(pair.c) == [1]
+    assert pair.c == {1: 0j}
+    mesh = np.meshgrid(*standard_grid(6), indexing="ij")
+    r, th = mesh
+    tol = 4 * np.finfo(float).eps * np.max(np.abs(f(*mesh)))
+    assert np.max(np.abs(pair.f1(r, th) - r * (1.0 - r) * np.exp(2j * th))) <= tol
     coeffs = analyze_disc(pair, DISC_SPEC)
-    assert not np.any(coeffs.fhat[:, 1 + 5])
+    assert np.max(np.abs(coeffs.fhat[:, 1 + 5])) <= tol
     assert error_report(f, coeffs, M=6).e_inf < 1e-14
 
 

@@ -119,3 +119,13 @@ def test_orthonormal_family_with_alpha_plus_beta_minus_one(a, b):
     assert np.max(np.abs(gram - np.eye(8))) < 1e-12
     mass = 2.0 ** (a + b + 1) * gamma(a + 1) * gamma(b + 1) / gamma(a + b + 2)
     assert norm_h(0, params) == pytest.approx(mass, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_exponents_are_refused(bad):
+    # every exponent guard is a comparison, which NaN passes
+    for a, b in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ParameterError, match="finite"):
+            JacobiParams(a, b)
+        with pytest.raises(ParameterError, match="finite"):
+            gauss_jacobi_01(5, a, b)

@@ -9,7 +9,9 @@ radial matrix keeps its structure, the one-core flow equals the dense
 exponential of every mode's block, and on random non-normal rank-2 matrices
 the contour exponential equals the dense one while every batched shifted
 solve is certified or refused; the complex Schur form of a real matrix is a
-unitary triangularisation with the eigenvalues of scipy's rsf2csf.
+unitary triangularisation with the eigenvalues of scipy's rsf2csf.  The one
+orthonormal Jacobi table, its derivatives and the radial factors built on
+it agree with scipy's Jacobi polynomials and Gauss rules at any exponents.
 """
 
 import functools
@@ -19,10 +21,11 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 from hypothesis import assume, given, settings, strategies as st
+from scipy.special import eval_jacobi, gammaln, roots_jacobi
 
 from ballspec.basis import (BasisSpec, UsageError, ball_phase, ball_radial,
                             ex1_radial, inner_product, wfunc_radial)
-from ballspec.diffmat import build_diff_ops, build_Dr
+from ballspec.diffmat import build_diff_ops, build_Dr, build_Dr_quad
 from ballspec.expand import (
     analyze,
     analyze_disc,
@@ -31,7 +34,8 @@ from ballspec.expand import (
     synthesize,
 )
 from ballspec.pde import PdeKind, assemble, propagate
-from ballspec.jacobi import BallspecError
+from ballspec.jacobi import (BallspecError, JacobiParams, orthonormal_all,
+                             orthonormal_deriv_all)
 from ballspec.semisep import SemiSep2, contour_apply, schur_form, solve_shifted
 from ballspec.split import make_pos, raw_pair, verify_pos
 
@@ -303,3 +307,71 @@ def test_open_mesh_equals_full_mesh(d, data):
         want = fn(*np.meshgrid(*axes, indexing="ij"))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# -- the one orthonormal Jacobi table ----------------------------------------
+
+alpha_ex1 = st.floats(1.0, 8.0, exclude_min=True)
+beta_pos = st.floats(0.0, 8.0, exclude_min=True, allow_subnormal=False)
+TABLE_X = np.cos(np.linspace(0.0, np.pi, 41))
+
+
+def scipy_orthonormal(n, a, b, x, deriv=False):
+    """Degrees 0..n of P_k^(a,b)(x) / sqrt(h_k), or of their derivatives
+    (k+a+b+1)/2 P_{k-1}^(a+1,b+1)(x) / sqrt(h_k), from scipy's eval_jacobi
+    and h_k in log-gamma form."""
+    k = np.arange(n + 1.0)[:, None]
+    log_h = (a + b + 1.0) * np.log(2.0) - np.log(2.0 * k + a + b + 1.0) + gammaln(k + a + 1.0) \
+        + gammaln(k + b + 1.0) - gammaln(k + a + b + 1.0) - gammaln(k + 1.0)
+    if deriv:
+        p = np.where(k > 0, 0.5 * (k + a + b + 1.0)
+                     * eval_jacobi(np.maximum(k - 1, 0), a + 1.0, b + 1.0, x), 0.0)
+    else:
+        p = eval_jacobi(k, a, b, x)
+    return p * np.exp(-0.5 * log_h)
+
+
+def rows_close(got, want, rel):
+    """Every row within rel of its own largest entry."""
+    return np.all(np.max(np.abs(got - want), axis=1) <= rel * np.max(np.abs(want), axis=1))
+
+
+@PROPERTY
+@given(n=st.integers(0, 24), a=alpha_ex1, b=beta_pos)
+def test_orthonormal_table_and_derivatives_match_scipy(n, a, b):
+    params = JacobiParams(a, b)
+    assert rows_close(orthonormal_all(n, params, TABLE_X), scipy_orthonormal(n, a, b, TABLE_X),
+                      1e-11)
+    got = orthonormal_deriv_all(n, params, TABLE_X)
+    assert np.all(got[0] == 0.0)
+    assert rows_close(got[1:], scipy_orthonormal(n, a, b, TABLE_X, deriv=True)[1:], 1e-11)
+
+
+def rule_01(nq, a, b):
+    """scipy's Gauss-Jacobi rule for (1-r)^a r^b on [0, 1]."""
+    x, w = roots_jacobi(nq, a, b)
+    return 0.5 * (x + 1.0), w * 0.5 ** (a + b + 1.0)
+
+
+@PROPERTY
+@given(n=st.integers(0, 24), a=alpha_ex1, b=beta_pos)
+def test_radial_factors_are_orthonormal_under_their_measures(n, a, b):
+    degrees = range(n + 1)
+    # the box measure dr dtheta: the rule absorbs (1-r)^a r^b of phi_m phi_n
+    r, w = rule_01(n + 17, a, b)
+    phi = wfunc_radial(BasisSpec(a, b), degrees, r)
+    gram = 2.0 * np.pi * (phi * w / ((1.0 - r) ** a * r ** b)) @ phi.T
+    assert np.max(np.abs(gram - np.eye(n + 1))) <= 1e-11
+    # the polar measure r dr (angular factor apart): the rule absorbs (1-r)^a r
+    r, w = rule_01(n + 17, a, 1.0)
+    phi = ex1_radial(degrees, a, r)
+    gram = (phi * w / (1.0 - r) ** a) @ phi.T
+    assert np.max(np.abs(gram - np.eye(n + 1))) <= 1e-11
+
+
+@PROPERTY
+@given(n=st.integers(1, 24), alpha=alpha_ex1)
+def test_quadrature_radial_matrix_equals_the_generator_form(n, alpha):
+    # from n = 1 on: at n = 0, D is the 1x1 zero matrix, with no norm to scale by
+    want = build_Dr(n, alpha).to_dense()
+    assert np.max(np.abs(build_Dr_quad(n, alpha) - want)) <= 1e-11 * np.linalg.norm(want, 2)
