@@ -11,13 +11,17 @@ to_dense, matvec and matvec_counted all read that one form, and the
 multiply counter counts the kernel that matvec runs.
 
 The complex Schur form A = Z T Z^H (SchurForm) is the one factorisation:
-shifted solves, the spectrum and the contour all read it.  A real A takes
+shifted solves, the spectrum and the contour all read it.  A Hermitian or
+skew-Hermitian A (up to rounding), such as the skew radial
+differentiation matrix, is normal, so its Schur form is diagonal: one eigh
+of its exact Hermitian projection gives it.  Any other real A takes
 LAPACK's real Schur form, whose 2x2 blocks one vectorised rotation step
-makes triangular, and stays real in the form: its products with complex
-iterates are real products over their interleaved real and imaginary
-parts.  solve_shifted takes a SemiSep2, a dense array or a SchurForm, and
-one shift or an array of them; every shift shares one back-substitution
-sweep over the rows of T and one refinement step, and every column is
+makes triangular.  A real A stays real in the form: its products with
+complex iterates are real products over their interleaved real and
+imaginary parts.  solve_shifted takes a SemiSep2, a dense array or a
+SchurForm, and one shift or an array of them; every shift shares one
+solve with T, a division for a diagonal T and else one back-substitution
+sweep over its rows, and one refinement step, and every column is
 certified by its residual against the dense A, never against T.
 contour_apply factors A once, places its circle off the diagonal of T,
 and makes one batched solve per batch of nodes: the first two node counts
@@ -138,13 +142,16 @@ class SemiSep2:
 class SchurForm:
     """Complex Schur form A = Z T Z^H of a dense matrix, kept next to A.
 
-    t is complex upper triangular and z unitary; dense is A itself, real
-    for a real A, so that A x for a complex x is one real product.
+    t is complex upper triangular and z unitary; diagonal is set when t is
+    diagonal (A Hermitian or skew-Hermitian, z its eigenvectors).  dense is
+    A itself, real for a real A, so that A x for a complex x is one real
+    product.
     """
 
     dense: np.ndarray
     t: np.ndarray
     z: np.ndarray
+    diagonal: bool = False
 
 
 def _refuse_non_finite(what: str, x) -> None:
@@ -180,12 +187,32 @@ def _complex_from_real_schur(t, z):
     return np.triu(t), z
 
 
+#: A counts as (skew-)Hermitian when max|A -+ A^H| <= this many eps max|A|;
+#: a generator-scaled Dr is skew only to rounding, about 1.5 eps max|A|
+_HERMITIAN_SLACK = 4.0
+
+
+def _hermitian_projection(dense):
+    """(H, s) with A = s H up to rounding, for a Hermitian A (H = (A + A^H)/2,
+    s = 1) or a skew-Hermitian one (H = i (A - A^H)/2, s = -i); else None."""
+    tol = _HERMITIAN_SLACK * np.finfo(float).eps * np.max(np.abs(dense), initial=0.0)
+    adj = dense.conj().T
+    if np.max(np.abs(dense - adj), initial=0.0) <= tol:
+        return 0.5 * (dense + adj), 1.0 + 0.0j
+    if np.max(np.abs(dense + adj), initial=0.0) <= tol:
+        return 0.5j * (dense - adj), -1.0j
+    return None
+
+
 def schur_form(a) -> SchurForm:
     """One complex Schur factorisation of a SemiSep2 or dense matrix.
 
-    A real matrix takes LAPACK's real Schur form, whose 2x2 blocks are made
-    triangular by one vectorised rotation step (_complex_from_real_schur),
-    and keeps a real dense; a complex one takes the complex Schur form.  A
+    A Hermitian or skew-Hermitian matrix (up to a few eps max|A|) takes one
+    eigh of its exact Hermitian projection H: A = s H = Z diag(s w) Z^H with
+    s = 1 or -i, a diagonal T.  Any other real matrix takes LAPACK's real
+    Schur form, whose 2x2 blocks are made triangular by one vectorised
+    rotation step (_complex_from_real_schur); a complex one takes the
+    complex Schur form.  A real matrix keeps a real dense either way.  A
     matrix that is not square and 2-D raises SizeMismatchError, one with a
     non-finite entry ParameterError.  A SchurForm is returned as it is, so
     every caller factors at most once.
@@ -196,11 +223,17 @@ def schur_form(a) -> SchurForm:
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise SizeMismatchError(f"expected a square 2-D matrix, got shape {dense.shape}")
     _refuse_non_finite("matrix", dense)
+    dense = dense.astype(complex if np.iscomplexobj(dense) else float)
+    projection = _hermitian_projection(dense)
+    if projection is not None:
+        h, s = projection
+        # divide and conquer: MRRR's eigenvectors of the +-w pairs of a
+        # skew checkerboard lose orthogonality (1e-12 at n = 256)
+        w, z = scipy.linalg.eigh(h, driver="evd")
+        return SchurForm(dense=dense, t=np.diag(w * s), z=z, diagonal=True)
     if np.iscomplexobj(dense):
-        dense = dense.astype(complex)
         t, z = scipy.linalg.schur(dense, output="complex")
     else:
-        dense = dense.astype(float)
         t, z = _complex_from_real_schur(*scipy.linalg.schur(dense, output="real"))
     return SchurForm(dense=dense, t=t, z=z)
 
@@ -223,6 +256,8 @@ def _schur_solve(form: SchurForm, lams: np.ndarray, rhs: np.ndarray) -> np.ndarr
 
     def apply(b):  # (lam*I - Z T Z^H)^{-1} b = -Z (T - lam*I)^{-1} Z^H b, per column
         c = zh @ b  # one column, or one per shift
+        if form.diagonal:
+            return -(form.z @ (c / shifted))
         y = np.empty(shifted.shape, dtype=complex)
         # one back-substitution sweep over the rows of T serves every shift
         for i in range(len(y) - 1, -1, -1):
@@ -241,10 +276,12 @@ def solve_shifted(a, lam, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
     lam is one shift, or a 1-D array of shifts: then the result has one
     column per shift.  A is a SchurForm, or a SemiSep2 or dense array that
-    is Schur-factored first (O(n^3) once, whatever the number of shifts).
-    Every shift shares one back-substitution sweep over the rows of T,
-    vectorised across shifts, and one step of iterative refinement, so k
-    shifts cost O(k n^2) in matrix-matrix products.  Every column is
+    is factored first by schur_form (O(n^3) once, whatever the number of
+    shifts: one eigh for a (skew-)Hermitian A, else one Schur form).  Every
+    shift shares one solve with T, vectorised across shifts, and one step
+    of iterative refinement: a diagonal T is a division, a triangular one
+    one back-substitution sweep over its rows, so k shifts cost O(k n^2) in
+    matrix-matrix products.  Every column is
     certified, ||(lam*I - A) x - rhs|| <= tol ||rhs||, against the dense A,
     never against T; a singular shift or a failed certificate raises
     SolveError, whose residual is the worst column's.  A non-finite rhs,
@@ -309,14 +346,15 @@ def contour_apply(g, a, v: np.ndarray) -> np.ndarray:
     spectrum; the node count starts at CONTOUR_FIRST_NODES and is doubled
     until two successive results agree to CONTOUR_TOL (relative to ||v||),
     or else ContourError is raised past CONTOUR_MAX_NODES nodes.  A is
-    Schur-factored once, and the circle is placed from the eigenvalues on
-    the diagonal of T, so no other eigensolve runs.  Every batch of nodes is
+    factored once by schur_form (one eigh for a (skew-)Hermitian A, else one
+    Schur form), and the circle is placed from the eigenvalues on the
+    diagonal of T, so no other eigensolve runs.  Every batch of nodes is
     one batched solve_shifted call.  The first batch holds the first two
     node counts: the 2n-th roots of unity contain the n-th ones as their
     even-indexed members, so the n-node sum is read off its even columns.
     Each later doubling solves only at its new (odd-indexed) nodes, and the
     node sum carries over.  g is called once per node with a scalar.  A
-    non-finite entry of v or of A raises ParameterError before the Schur
+    non-finite entry of v or of A raises ParameterError before the
     factorisation, and a non-finite value of g before its batch is solved.
     """
     v = np.asarray(v, dtype=complex)

@@ -9,7 +9,9 @@ radial matrix keeps its structure, the one-core flow equals the dense
 exponential of every mode's block, and on random non-normal rank-2 matrices
 the contour exponential equals the dense one while every batched shifted
 solve is certified or refused; the complex Schur form of a real matrix is a
-unitary triangularisation with the eigenvalues of scipy's rsf2csf.  The one
+unitary triangularisation with the eigenvalues of scipy's rsf2csf, and that
+of a Hermitian or skew-Hermitian one, or of a generator-scaled skew Dr, a
+unitary diagonalisation whose shifted solves match dense ones.  The one
 orthonormal Jacobi table, its derivatives and the radial factors built on
 it agree with scipy's Jacobi polynomials and Gauss rules at any exponents.
 """
@@ -165,23 +167,27 @@ def test_batched_shifted_solve_is_certified_or_refused(seed, size, norm, shifts)
 
 def real_matrix(kind, n, seed, scale):
     """A real n x n matrix: a general one, a skew rho*Dr/||Dr|| or random
-    checkerboard skew one (all its eigenvalues in 2x2 blocks but at most
-    one), or a triangular one (no 2x2 block)."""
+    checkerboard skew one (a diagonal form), the latter plus a triangular
+    perturbation of relative size 1e-6 (all its eigenvalues in 2x2 blocks
+    but at most one), or a triangular one (no 2x2 block)."""
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n))
     if kind == "Dr":
         dense = build_Dr(n - 1, 2.0).to_dense() if n else np.zeros((0, 0))
         return scale * dense / max(np.linalg.norm(dense), 1e-300)
-    if kind == "skew":
+    if kind in ("skew", "perturbed skew"):
         i, j = np.indices((n, n))
         m = np.where((i + j) % 2 == 1, m - m.T, 0.0)
+    if kind == "perturbed skew":
+        m = m + 1e-6 * np.triu(rng.standard_normal((n, n)))
     if kind == "triangular":
         m = np.triu(m)
     return scale * m
 
 
 @PROPERTY
-@given(kind=st.sampled_from(["general", "Dr", "skew", "triangular"]), n=st.integers(0, 40),
+@given(kind=st.sampled_from(["general", "Dr", "skew", "perturbed skew", "triangular"]),
+       n=st.integers(0, 40),
        seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
 def test_real_schur_form_is_a_unitary_triangularisation(kind, n, seed, scale):
     a = real_matrix(kind, n, seed, scale)
@@ -196,6 +202,48 @@ def test_real_schur_form_is_a_unitary_triangularisation(kind, n, seed, scale):
     got = form.t.diagonal()
     rows, cols = scipy.optimize.linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
     assert np.all(np.abs(got[rows] - want[cols]) <= 1e-13 * norm)
+
+
+def hermitian_or_skew(kind, field, n, seed, scale):
+    """An n x n Hermitian or skew-Hermitian matrix, real or complex, times
+    scale; or, for kind "Dr", scale Dr / ||Dr||_2 in generator form, which
+    is skew only to rounding (n >= 2)."""
+    rng = np.random.default_rng(seed)
+    if kind == "Dr":
+        d = build_Dr(max(n, 2) - 1, 2.0)
+        s = scale / np.linalg.norm(d.to_dense(), 2)
+        return SemiSep2(size=d.size, p=d.p * s, q=d.q, u=d.u * s, v=d.v, parity_mask=d.parity_mask)
+    m = rng.standard_normal((n, n))
+    if field == "complex":
+        m = m + 1j * rng.standard_normal((n, n))
+    sign = 1.0 if kind == "hermitian" else -1.0
+    return scale * (m + sign * m.conj().T) / 2
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["hermitian", "skew", "Dr"]), field=st.sampled_from(["real", "complex"]),
+       n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
+       shifts=st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                          allow_infinity=False), min_size=1, max_size=8))
+def test_hermitian_and_skew_forms_are_unitary_diagonalisations(kind, field, n, seed, scale,
+                                                               shifts):
+    a = hermitian_or_skew(kind, field, n, seed, scale)
+    form = schur_form(a)
+    dense = a.to_dense() if isinstance(a, SemiSep2) else a
+    n, norm = len(dense), np.linalg.norm(dense)
+    assert form.diagonal and np.array_equal(form.t, np.diag(form.t.diagonal()))
+    assert np.linalg.norm(form.z.conj().T @ form.z - np.eye(n)) <= 1e-13
+    assert np.linalg.norm(form.z @ form.t @ form.z.conj().T - dense) <= 1e-13 * norm
+    want, got = np.linalg.eigvals(dense), form.t.diagonal()
+    rows, cols = scipy.optimize.linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
+    assert np.all(np.abs(got[rows] - want[cols]) <= 1e-13 * norm)
+    # shifts on the scale of the spectrum, and off it
+    lams = np.array(shifts) * np.linalg.norm(dense, 2) if n else np.array(shifts)
+    assume(n and np.min(np.abs(lams[:, None] - want[None, :])) > 0.05 * np.linalg.norm(dense, 2))
+    b = np.random.default_rng(seed).standard_normal(n) + 0.5j
+    x = solve_shifted(form, lams, b)
+    ref = np.stack([scipy.linalg.solve(lam * np.eye(n) - dense, b) for lam in lams], axis=1)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @PROPERTY

@@ -1,5 +1,7 @@
 """Tests for the rank-2 semi-separable matrix algebra."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -123,15 +125,17 @@ def counting(calls, name, fn):
 
 
 def test_default_contour_takes_one_eigensolve(monkeypatch):
-    # the Schur form is the only eigensolve: the contour comes off its diagonal
+    # the Schur form is the only eigensolve: the contour comes off its
+    # diagonal, and the skew Dr's form is one eigh
     d = build_Dr(4, 2.0)
     v = np.linspace(-1.0, 1.0, 5)
     want = contour_apply(np.exp, schur_form(d), v)
-    calls = {"eigvals": 0, "schur": 0}
+    calls = {"eigvals": 0, "schur": 0, "eigh": 0}
     monkeypatch.setattr(np.linalg, "eigvals", counting(calls, "eigvals", np.linalg.eigvals))
     monkeypatch.setattr(scipy.linalg, "schur", counting(calls, "schur", scipy.linalg.schur))
+    monkeypatch.setattr(scipy.linalg, "eigh", counting(calls, "eigh", scipy.linalg.eigh))
     got = contour_apply(np.exp, d, v)
-    assert calls == {"eigvals": 0, "schur": 1}
+    assert calls == {"eigvals": 0, "schur": 0, "eigh": 1}
     assert np.array_equal(got, want)
 
 
@@ -215,7 +219,7 @@ def test_contour_factors_once_and_solves_once_per_node(monkeypatch):
     a = non_normal_semisep(16)
     v = np.linspace(-1.0, 1.0, a.size)
     want = converged_node_count(a, v, *default_contour(a))
-    calls = {"schur": 0, "solve": 0}
+    calls = {"schur": 0, "eigh": 0, "solve": 0}
     shifts = []  # the shifts of each solve_shifted call
     solve_shifted_ = semisep.solve_shifted
 
@@ -224,10 +228,11 @@ def test_contour_factors_once_and_solves_once_per_node(monkeypatch):
         return solve_shifted_(form, lams, rhs, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "schur", counting(calls, "schur", scipy.linalg.schur))
+    monkeypatch.setattr(scipy.linalg, "eigh", counting(calls, "eigh", scipy.linalg.eigh))
     monkeypatch.setattr(scipy.linalg, "solve", counting(calls, "solve", scipy.linalg.solve))
     monkeypatch.setattr(semisep, "solve_shifted", counted_solve_shifted)
     contour_apply(np.exp, a, v)
-    assert calls == {"schur": 1, "solve": 0}
+    assert calls == {"schur": 1, "eigh": 0, "solve": 0}
     # one call per batch: the first 2n nodes, whose even columns give the
     # n-node sum, then 2n, 4n, ... new ones
     first = 2 * CONTOUR_FIRST_NODES
@@ -310,6 +315,77 @@ def scaled_Dr(n, rho):
     return SemiSep2(size=n, p=d.p * s, q=d.q, u=d.u * s, v=d.v, parity_mask=d.parity_mask)
 
 
+def factorisations(monkeypatch, a):
+    """(schur_form(a), {"schur": calls, "eigh": calls}) for one factorisation of a."""
+    calls = {"schur": 0, "eigh": 0}
+    with monkeypatch.context() as m:
+        for name in calls:
+            m.setattr(scipy.linalg, name, counting(calls, name, getattr(scipy.linalg, name)))
+        return schur_form(a), calls
+
+
+@pytest.mark.parametrize("rho", [1.0, 10.0])
+def test_a_generator_scaled_skew_operator_takes_one_eigh(monkeypatch, rho):
+    # the benchmark's operator: skew only to rounding, since the generators
+    # are scaled before their products are formed
+    a = scaled_Dr(96, rho)
+    form, calls = factorisations(monkeypatch, a)
+    assert not np.array_equal(form.dense, -form.dense.T)
+    assert calls == {"schur": 0, "eigh": 1} and form.diagonal
+    assert np.array_equal(form.t, np.diag(form.t.diagonal()))
+    v = np.linspace(-1.0, 1.0, 96)
+    ref = scipy.linalg.expm(form.dense) @ v
+    assert np.max(np.abs(contour_apply(np.exp, form, v) - ref)) < 1e-9
+
+
+def test_a_perturbed_skew_matrix_keeps_the_triangular_schur_path(monkeypatch):
+    # a Hermitian perturbation of 1e-6 ||A|| is far above rounding, so the
+    # form is triangular; every solve is still certified against A
+    skew = scaled_Dr(24, 5.0).to_dense()
+    h = np.random.default_rng(8).standard_normal((24, 24))
+    h = h + h.T
+    a = skew + 1e-6 * np.linalg.norm(skew, 2) / np.linalg.norm(h, 2) * h
+    form, calls = factorisations(monkeypatch, a)
+    assert calls == {"schur": 1, "eigh": 0} and not form.diagonal
+    assert np.any(np.triu(form.t, 1) != 0.0)
+    v = np.linspace(-1.0, 1.0, 24)
+    x = solve_shifted(form, SHIFTS, v)
+    want = np.stack([scipy.linalg.solve(lam * np.eye(24) - a, v) for lam in SHIFTS], axis=1)
+    assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+    ref = scipy.linalg.expm(a) @ v
+    assert np.max(np.abs(contour_apply(np.exp, form, v) - ref)) < 1e-9
+
+
+@pytest.mark.parametrize("k", [0, 7, 23])
+def test_a_shift_on_the_diagonal_form_is_refused_before_any_division(k):
+    form = schur_form(scaled_Dr(24, 5.0))
+    assert form.diagonal
+    lams = SHIFTS.copy()
+    lams[2] = form.t[k, k]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a division by zero would warn first
+        for lam in (form.t[k, k], lams):
+            with pytest.raises(SolveError, match="singular"):
+                solve_shifted(form, lam, np.ones(24))
+
+
+@pytest.mark.parametrize("k", [0, 7, 23])
+def test_a_shift_next_to_an_eigenvalue_is_certified_or_refused(k):
+    a = scaled_Dr(24, 5.0)
+    form = schur_form(a)
+    lam = form.t[k, k] + 1e-14
+    assert lam != form.t[k, k]
+    b = np.linspace(-1.0, 1.0, 24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            x = solve_shifted(form, lam, b)
+        except SolveError as err:
+            assert "exceeds tolerance" in str(err)
+            return
+    assert np.linalg.norm(lam * x - a.to_dense() @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
 def test_real_matrices_never_reach_rsf2csf_and_keep_a_real_dense(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "rsf2csf",
                         lambda *args, **kwargs: pytest.fail("rsf2csf was called"))
@@ -334,6 +410,7 @@ def test_non_finite_matrix_is_refused_before_the_eigensolve(monkeypatch, bad):
         return eigensolve
     monkeypatch.setattr(np.linalg, "eigvals", refuse("eigvals"))
     monkeypatch.setattr(scipy.linalg, "schur", refuse("schur"))
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse("eigh"))
     with pytest.raises(ParameterError, match="non-finite"):
         default_contour(a)
     with pytest.raises(ParameterError, match="non-finite"):
@@ -356,7 +433,9 @@ def test_non_finite_rhs_shift_or_vector_is_refused_before_the_factorisation(monk
     a = np.eye(3)
     ops = (a, build_Dr(2, 2.0), schur_form(a))
     finite, non_finite = np.array([1.0, 0.0, 0.0]), np.array([1.0, bad, 0.0])
-    monkeypatch.setattr(scipy.linalg, "schur", lambda *args, **kwargs: pytest.fail("schur was called"))
+    for name in ("schur", "eigh"):
+        monkeypatch.setattr(scipy.linalg, name,
+                            lambda *args, name=name, **kwargs: pytest.fail(f"{name} was called"))
     for op in ops:
         for lam, rhs in ((2.0, non_finite), (bad, finite), (np.array([2.0, bad]), finite)):
             with pytest.raises(ParameterError, match="non-finite"):
@@ -367,8 +446,9 @@ def test_non_finite_rhs_shift_or_vector_is_refused_before_the_factorisation(monk
 
 @pytest.mark.parametrize("a", [np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2)), np.float64(2.0)])
 def test_a_matrix_that_is_not_square_is_refused_with_size_mismatch(monkeypatch, a):
-    monkeypatch.setattr(scipy.linalg, "schur",
-                        lambda *args, **kwargs: pytest.fail("schur was called"))
+    for name in ("schur", "eigh"):
+        monkeypatch.setattr(scipy.linalg, name,
+                            lambda *args, name=name, **kwargs: pytest.fail(f"{name} was called"))
     rhs = np.ones(np.shape(a)[0] if np.ndim(a) else 1)
     with pytest.raises(SizeMismatchError, match="square"):
         schur_form(a)
