@@ -6,8 +6,10 @@ diagonal every entry is a_i * b_j, above it -a_j * b_i, and a checkerboard of
 entries vanishes by parity.  Folding the checkerboard into the generators
 gives rank-2 generators of an unmasked matrix, and prefix sums over them give
 O(M) matrix-vector products; the printed counts are the multiplies of that
-kernel.  For contrast we also build two families where skew symmetry is
-impossible and show the closed forms of their obstructions.
+kernel.  The checkerboard also halves the eigensolve: one SVD of the
+half-size block gives every eigenvalue +-i sigma of D.  For contrast we
+also build two families where skew symmetry is impossible and show the
+closed forms of their obstructions.
 
 Run:  python3 demos/02_skew_differentiation.py
 """
@@ -22,6 +24,7 @@ from ballspec.diffmat import (
     build_Dr_quad,
     ex1_Dr_quad,
 )
+from ballspec.semisep import schur_form
 
 # --- the good case ----------------------------------------------------------
 
@@ -37,6 +40,15 @@ x = rng.standard_normal(33)
 _, mults = d.matvec_counted(x)
 _, mults2 = build_Dr(65, 2.0).matvec_counted(rng.standard_normal(66))
 print("  multiplies for n=33/66  :", mults, mults2, "-> linear growth")
+
+# the checkerboard makes D a permuted [[0, B], [-B^T, 0]]: one SVD of the
+# 17 x 16 block B gives every eigenvalue +-i sigma (and 0, since n is odd)
+form = schur_form(d)
+half = np.sort(form.t.diagonal().imag)
+eig = np.linalg.eigvals(dense)
+eig = eig[np.argsort(eig.imag)]
+print("  half-size SVD of B      :", form.u.shape[0], "x", form.v.shape[0])
+print("  max |+-i sigma - eig|   :", np.max(np.abs(1j * half - eig)))
 
 # --- obstruction 1: the r-weighted (polar) family ---------------------------
 

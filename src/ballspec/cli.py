@@ -328,13 +328,15 @@ def run_pde_demo(config: RunConfig):
     good = abscissa_scan(config.alpha, config.alpha, [8, 16, 32])
     bad = abscissa_scan(config.alpha, 0.0, [8, 16, 32])
     print(f"  abscissa, skew family:   {[f'{v:.3e}' for _, v in good]}")
-    print(f"  abscissa, beta=0 family: {[f'{v:.3e}' for _, v in bad]}")
+    # an eigenvalue of the non-normal D D: a 1e-16 relative perturbation of
+    # D moves its fourth digit, so two significant digits are printed
+    print(f"  abscissa, beta=0 family: {[f'{v:.1e}' for _, v in bad]}")
     _check("skew_family_abscissa_bounded",
            max(v for _, v in good) <= 1e-8,
            f"max = {max(v for _, v in good):.3e}")
     _check("beta0_family_abscissa_grows",
            bad[0][1] > 0.0 and bad[2][1] > 2.0 * bad[0][1],
-           f"{bad[0][1]:.3e} -> {bad[2][1]:.3e}")
+           f"{bad[0][1]:.1e} -> {bad[2][1]:.1e}")
 
     rows = stability_report(op_d, t_grid, rng=np.random.default_rng(config.seed))
     path = os.path.join(config.out, "pde_trajectory.csv")

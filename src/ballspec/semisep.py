@@ -12,20 +12,26 @@ multiply counter counts the kernel that matvec runs.
 
 The complex Schur form A = Z T Z^H (SchurForm) is the one factorisation:
 shifted solves, the spectrum and the contour all read it.  A Hermitian or
-skew-Hermitian A (up to rounding), such as the skew radial
-differentiation matrix, is normal, so its Schur form is diagonal: one eigh
-of its exact Hermitian projection gives it.  Any other real A takes
-LAPACK's real Schur form, whose 2x2 blocks one vectorised rotation step
-makes triangular.  A real A stays real in the form: its products with
-complex iterates are real products over their interleaved real and
-imaginary parts.  solve_shifted takes a SemiSep2, a dense array or a
-SchurForm, and one shift or an array of them; every shift shares one
-solve with T, a division for a diagonal T and else one back-substitution
-sweep over its rows, and one refinement step, and every column is
-certified by its residual against the dense A, never against T.
-contour_apply factors A once, places its circle off the diagonal of T,
-and makes one batched solve per batch of nodes: the first two node counts
-together, then one per doubling.
+skew-Hermitian A (up to rounding) is normal, so its Schur form is
+diagonal.  The skew radial differentiation matrix is also zero wherever
+i + j is even, so permuted to even then odd indices it is
+[[0, B], [-B^T, 0]]: one real SVD B = U diag(sigma) V^T of the half-size
+block gives its eigenvalues +-i sigma and its eigenvectors
+(u, +-i v)/sqrt 2.  Any other (skew-)Hermitian A takes one eigh of its
+exact Hermitian projection, and any other real A LAPACK's real Schur form,
+whose 2x2 blocks one vectorised rotation step makes triangular.  A real A
+stays real in the form: its products with complex iterates are real
+products over their interleaved real and imaginary parts.  solve_shifted
+takes a SemiSep2, a dense array or a SchurForm, and one shift or an array
+of them; every shift shares one solve with T and one refinement step.  A
+form with a half-size SVD solves with four real half-size products and a
+2x2 solve per pair of eigenvalues; any other diagonal T is a division, and
+a triangular T one back-substitution sweep over its rows.  Every column is
+certified by its residual against the dense A, never against T, with
+2-norms that are scaled first so that they neither overflow nor
+underflow.  contour_apply factors A once, places its circle off the
+diagonal of T, and makes one batched solve per batch of nodes: the first
+two node counts together, then one per doubling.
 """
 
 from __future__ import annotations
@@ -145,13 +151,21 @@ class SchurForm:
     t is complex upper triangular and z unitary; diagonal is set when t is
     diagonal (A Hermitian or skew-Hermitian, z its eigenvectors).  dense is
     A itself, real for a real A, so that A x for a complex x is one real
-    product.
+    product.  For a real skew A that is zero wherever i + j is even, u,
+    sigma and v hold the SVD U diag(sigma) V^T of its half block
+    B = (A[0::2, 1::2] - A[1::2, 0::2]^T) / 2, with U square: then t is
+    diag(i sigma, -i sigma, 0), z holds (u_k, i v_k)/sqrt 2, then
+    (u_k, -i v_k)/sqrt 2 on the even and odd rows, and for odd n last the
+    null vector (u_last, 0), and solves read u, sigma and v, never z.
     """
 
     dense: np.ndarray
     t: np.ndarray
     z: np.ndarray
     diagonal: bool = False
+    u: np.ndarray | None = None
+    sigma: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def _refuse_non_finite(what: str, x) -> None:
@@ -192,30 +206,53 @@ def _complex_from_real_schur(t, z):
 _HERMITIAN_SLACK = 4.0
 
 
-def _hermitian_projection(dense):
-    """(H, s) with A = s H up to rounding, for a Hermitian A (H = (A + A^H)/2,
-    s = 1) or a skew-Hermitian one (H = i (A - A^H)/2, s = -i); else None."""
+def _hermitian_sign(dense) -> int:
+    """1 for a Hermitian A, -1 for a skew-Hermitian one (up to rounding), else 0."""
     tol = _HERMITIAN_SLACK * np.finfo(float).eps * np.max(np.abs(dense), initial=0.0)
     adj = dense.conj().T
     if np.max(np.abs(dense - adj), initial=0.0) <= tol:
-        return 0.5 * (dense + adj), 1.0 + 0.0j
+        return 1
     if np.max(np.abs(dense + adj), initial=0.0) <= tol:
-        return 0.5j * (dense - adj), -1.0j
-    return None
+        return -1
+    return 0
+
+
+def _skew_checkerboard_form(dense) -> SchurForm:
+    """The diagonal SchurForm of a real skew A that is zero wherever i + j is even.
+
+    Permuted to even then odd indices, A is [[0, B], [-B^T, 0]] up to
+    rounding, with B the ceil(n/2) x floor(n/2) block of its exact skew
+    projection.  One SVD B = U diag(sigma) V^T (U square) gives every
+    eigenpair: A (u_k, +-i v_k) = +-i sigma_k (u_k, +-i v_k), and a column
+    of U past sigma (odd n) is a null vector (u, 0).  z is assembled from U
+    and V in O(n^2).
+    """
+    u, sigma, vt = scipy.linalg.svd(0.5 * (dense[0::2, 1::2] - dense[1::2, 0::2].T))
+    n, k = len(dense), len(sigma)
+    z = np.zeros((n, n), dtype=complex)
+    z[0::2, :k] = z[0::2, k:2 * k] = u[:, :k] / np.sqrt(2.0)
+    z[1::2, :k] = 1j * vt.T / np.sqrt(2.0)
+    z[1::2, k:2 * k] = -z[1::2, :k]
+    z[0::2, 2 * k:] = u[:, k:]
+    eig = np.concatenate([1j * sigma, -1j * sigma, np.zeros(n - 2 * k)])
+    return SchurForm(dense=dense, t=np.diag(eig), z=z, diagonal=True, u=u, sigma=sigma, v=vt.T)
 
 
 def schur_form(a) -> SchurForm:
     """One complex Schur factorisation of a SemiSep2 or dense matrix.
 
-    A Hermitian or skew-Hermitian matrix (up to a few eps max|A|) takes one
-    eigh of its exact Hermitian projection H: A = s H = Z diag(s w) Z^H with
-    s = 1 or -i, a diagonal T.  Any other real matrix takes LAPACK's real
-    Schur form, whose 2x2 blocks are made triangular by one vectorised
-    rotation step (_complex_from_real_schur); a complex one takes the
-    complex Schur form.  A real matrix keeps a real dense either way.  A
-    matrix that is not square and 2-D raises SizeMismatchError, one with a
-    non-finite entry ParameterError.  A SchurForm is returned as it is, so
-    every caller factors at most once.
+    A real skew matrix (up to a few eps max|A|) that is exactly zero
+    wherever i + j is even, such as the skew Dr, takes one real SVD of its
+    half-size block (_skew_checkerboard_form).  Any other Hermitian or
+    skew-Hermitian matrix takes one eigh of its exact Hermitian projection
+    H: A = s H = Z diag(s w) Z^H with s = 1 or -i.  Either way T is
+    diagonal.  Any other real matrix takes LAPACK's real Schur form, whose
+    2x2 blocks are made triangular by one vectorised rotation step
+    (_complex_from_real_schur); a complex one takes the complex Schur form.
+    A real matrix keeps a real dense throughout.  A matrix that is not
+    square and 2-D raises SizeMismatchError, one with a non-finite entry
+    ParameterError.  A SchurForm is returned as it is, so every caller
+    factors at most once.
     """
     if isinstance(a, SchurForm):
         return a
@@ -224,9 +261,15 @@ def schur_form(a) -> SchurForm:
         raise SizeMismatchError(f"expected a square 2-D matrix, got shape {dense.shape}")
     _refuse_non_finite("matrix", dense)
     dense = dense.astype(complex if np.iscomplexobj(dense) else float)
-    projection = _hermitian_projection(dense)
-    if projection is not None:
-        h, s = projection
+    sign = _hermitian_sign(dense)
+    if sign < 0 and dense.dtype == float and not (
+            dense[0::2, 0::2].any() or dense[1::2, 1::2].any()):
+        return _skew_checkerboard_form(dense)
+    if sign:
+        # A = s H up to rounding: H = (A + A^H)/2 with s = 1, or
+        # H = i (A - A^H)/2 with s = -i
+        adj = dense.conj().T
+        h, s = (0.5 * (dense + adj), 1.0 + 0.0j) if sign > 0 else (0.5j * (dense - adj), -1.0j)
         # divide and conquer: MRRR's eigenvectors of the +-w pairs of a
         # skew checkerboard lose orthogonality (1e-12 at n = 256)
         w, z = scipy.linalg.eigh(h, driver="evd")
@@ -238,20 +281,74 @@ def schur_form(a) -> SchurForm:
     return SchurForm(dense=dense, t=t, z=z)
 
 
-def _times_dense(form: SchurForm, x: np.ndarray) -> np.ndarray:
-    """A x for a complex (n, k) x; a real A takes one real product with x's
+def _real_times(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m x for a real m and an (n, k) x: one real product with x's
     interleaved real and imaginary parts, an (n, 2k) real view of x."""
-    if np.iscomplexobj(form.dense):
-        return form.dense @ x
-    return (form.dense @ np.ascontiguousarray(x).view(float)).view(complex)
+    return (m @ np.ascontiguousarray(x, dtype=complex).view(float)).view(complex)
 
 
-def _schur_solve(form: SchurForm, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Columns (lam_j*I - A)^{-1} rhs through A = Z T Z^H, refined once against the dense A."""
-    shifted = form.t.diagonal()[:, None] - lams  # the diagonals of T - lam_j*I
-    singular = np.flatnonzero(np.any(shifted == 0.0, axis=0))
+def _times_dense(form: SchurForm, x: np.ndarray) -> np.ndarray:
+    """A x for a complex (n, k) x; a real A takes one real product."""
+    return form.dense @ x if np.iscomplexobj(form.dense) else _real_times(form.dense, x)
+
+
+def _norm(x: np.ndarray, axis=None):
+    """The 2-norm of x, or of each column for axis=0, at any scale.
+
+    np.linalg.norm sums squares, which overflow above about 1e154 and lose
+    digits to underflow below about 1e-154; a norm outside [1e-140, 1e140]
+    is taken again of x / max|x|.  A non-finite x gives inf or nan.
+    """
+    with np.errstate(all="ignore"):  # an out-of-range norm is taken again
+        norm = np.linalg.norm(x, axis=axis)
+    if np.all((norm >= 1e-140) & (norm <= 1e140)):
+        return norm
+    big = np.max(np.abs(x), axis=axis, initial=0.0)
+    unit = np.where(np.isfinite(big) & (big > 0.0), big, 1.0)
+    return big * np.linalg.norm(x / unit, axis=axis)
+
+
+def _refuse_singular(lams: np.ndarray, zero_pivot: np.ndarray) -> None:
+    singular = np.flatnonzero(np.any(zero_pivot, axis=0))
     if singular.size:
         raise SolveError(f"shift {lams[singular[0]]} is singular: T - lam*I has a zero pivot")
+
+
+def _pair_solver(form: SchurForm, lams: np.ndarray):
+    """b -> (lam_j*I - A)^{-1} b per shift, for a form with a half-size SVD.
+
+    In the coordinates c = U^T b[even] and d = V^T b[odd], the pair k
+    solves [[lam, -sigma_k], [sigma_k, lam]] (alpha, beta) = (c, d): with
+    w+- = (c +- i d) / (lam +- i sigma_k), alpha = (w+ + w-)/2 and
+    beta = (w+ - w-)/(2i).  Each pivot lam +- i sigma_k is divided by on its
+    own, never their product lam^2 + sigma_k^2, which over- or underflows
+    long before the solution does.  A column of U past sigma (odd n) has
+    the pivot lam.  The four products are real and half-size.
+    """
+    sigma = form.sigma[:, None]
+    k = len(sigma)
+    plus, minus = lams + 1j * sigma, lams - 1j * sigma
+    null = np.broadcast_to(lams, (form.u.shape[1] - k, lams.size))
+    _refuse_singular(lams, np.concatenate([plus == 0.0, minus == 0.0, null == 0.0]))
+
+    def apply(b):
+        c, d = _real_times(form.u.T, b[0::2]), _real_times(form.v.T, b[1::2])
+        w_plus, w_minus = (c[:k] + 1j * d) / plus, (c[:k] - 1j * d) / minus
+        alpha = np.empty((len(c), lams.size), dtype=complex)
+        alpha[:k] = 0.5 * (w_plus + w_minus)
+        alpha[k:] = c[k:] / lams
+        x = np.empty((len(b), lams.size), dtype=complex)
+        x[0::2] = _real_times(form.u, alpha)
+        x[1::2] = _real_times(form.v, -0.5j * (w_plus - w_minus))
+        return x
+
+    return apply
+
+
+def _triangular_solver(form: SchurForm, lams: np.ndarray):
+    """b -> (lam_j*I - A)^{-1} b per shift, through A = Z T Z^H."""
+    shifted = form.t.diagonal()[:, None] - lams  # the diagonals of T - lam_j*I
+    _refuse_singular(lams, shifted == 0.0)
     zh = form.z.conj().T
 
     def apply(b):  # (lam*I - Z T Z^H)^{-1} b = -Z (T - lam*I)^{-1} Z^H b, per column
@@ -264,6 +361,12 @@ def _schur_solve(form: SchurForm, lams: np.ndarray, rhs: np.ndarray) -> np.ndarr
             y[i] = (c[i] - form.t[i, i + 1:] @ y[i + 1:]) / shifted[i]
         return -(form.z @ y)
 
+    return apply
+
+
+def _schur_solve(form: SchurForm, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Columns (lam_j*I - A)^{-1} rhs through the form, refined once against the dense A."""
+    apply = (_pair_solver if form.u is not None else _triangular_solver)(form, lams)
     rhs = rhs[:, None]
     x = apply(rhs)
     # The Schur form's own backward error is the same at every node, so it
@@ -277,15 +380,20 @@ def solve_shifted(a, lam, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     lam is one shift, or a 1-D array of shifts: then the result has one
     column per shift.  A is a SchurForm, or a SemiSep2 or dense array that
     is factored first by schur_form (O(n^3) once, whatever the number of
-    shifts: one eigh for a (skew-)Hermitian A, else one Schur form).  Every
-    shift shares one solve with T, vectorised across shifts, and one step
-    of iterative refinement: a diagonal T is a division, a triangular one
-    one back-substitution sweep over its rows, so k shifts cost O(k n^2) in
-    matrix-matrix products.  Every column is
-    certified, ||(lam*I - A) x - rhs|| <= tol ||rhs||, against the dense A,
-    never against T; a singular shift or a failed certificate raises
-    SolveError, whose residual is the worst column's.  A non-finite rhs,
-    shift or matrix entry raises ParameterError before the factorisation.
+    shifts: one half-size SVD for a skew checkerboard A, one eigh for any
+    other (skew-)Hermitian A, else one Schur form).  Every shift shares one
+    solve with T, vectorised across shifts, and one step of iterative
+    refinement.  With a half-size SVD that solve is four real half-size
+    products and a division by each pivot lam -+ i sigma_k; any other
+    diagonal T is a division, a triangular one one back-substitution sweep
+    over its rows, so k shifts cost O(k n^2) in matrix-matrix products.
+    Every column is certified, ||(lam*I - A) x - rhs|| <= tol ||rhs||,
+    against the dense A, never against T, with norms scaled by the largest
+    entry so that they hold at any scale; a singular shift or a failed
+    certificate raises SolveError, whose residual is the worst column's.  A
+    column that leaves the double range is not finite, so its certificate
+    fails too.  A non-finite rhs, shift or matrix entry raises
+    ParameterError before the factorisation.
     """
     rhs = np.asarray(rhs)
     lams = np.asarray(lam)
@@ -297,10 +405,11 @@ def solve_shifted(a, lam, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     n = form.dense.shape[0]
     if rhs.shape != (n,):
         raise SizeMismatchError(f"rhs length {rhs.shape} != {n}")
-    x = _schur_solve(form, np.atleast_1d(lams).astype(complex), rhs)
-    res = np.linalg.norm(x * lams.reshape(-1) - _times_dense(form, x) - rhs[:, None], axis=0)
-    scale = max(np.linalg.norm(rhs), 1e-300)
-    if not np.all(res <= tol * scale):
+    # an overflow makes a column inf or nan, which its certificate refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _schur_solve(form, np.atleast_1d(lams).astype(complex), rhs)
+        res = _norm(x * lams.reshape(-1) - _times_dense(form, x) - rhs[:, None], axis=0)
+    if not np.all(res <= tol * _norm(rhs)):
         worst = float(np.max(res))
         raise SolveError(f"shifted solve residual {worst:.3e} exceeds tolerance", residual=worst)
     return x[:, 0] if lams.ndim == 0 else x
@@ -344,9 +453,11 @@ def contour_apply(g, a, v: np.ndarray) -> np.ndarray:
 
     Trapezoidal rule on default_contour's circle, which encloses the
     spectrum; the node count starts at CONTOUR_FIRST_NODES and is doubled
-    until two successive results agree to CONTOUR_TOL (relative to ||v||),
-    or else ContourError is raised past CONTOUR_MAX_NODES nodes.  A is
-    factored once by schur_form (one eigh for a (skew-)Hermitian A, else one
+    until two successive results agree to CONTOUR_TOL (relative to ||v||,
+    both norms scaled so that they hold at any scale of v), or else
+    ContourError is raised past CONTOUR_MAX_NODES nodes.  A is factored
+    once by schur_form (one half-size SVD for a skew checkerboard A such
+    as the skew Dr, one eigh for any other (skew-)Hermitian A, else one
     Schur form), and the circle is placed from the eigenvalues on the
     diagonal of T, so no other eigensolve runs.  Every batch of nodes is
     one batched solve_shifted call.  The first batch holds the first two
@@ -361,7 +472,7 @@ def contour_apply(g, a, v: np.ndarray) -> np.ndarray:
     _refuse_non_finite("vector", v)
     form = schur_form(a)
     center, radius = default_contour(form)
-    scale = max(np.linalg.norm(v), 1e-300)
+    scale = _norm(v)
     total = np.zeros_like(v)
     prev = None
     nodes = 2 * CONTOUR_FIRST_NODES
@@ -376,7 +487,7 @@ def contour_apply(g, a, v: np.ndarray) -> np.ndarray:
             prev = x[:, ::2] @ weights[::2] / CONTOUR_FIRST_NODES
         total += x @ weights
         acc = total / nodes
-        if np.linalg.norm(acc - prev) <= CONTOUR_TOL * scale:
+        if _norm(acc - prev) <= CONTOUR_TOL * scale:
             return acc
         prev = acc
         nodes *= 2

@@ -11,7 +11,9 @@ the contour exponential equals the dense one while every batched shifted
 solve is certified or refused; the complex Schur form of a real matrix is a
 unitary triangularisation with the eigenvalues of scipy's rsf2csf, and that
 of a Hermitian or skew-Hermitian one, or of a generator-scaled skew Dr, a
-unitary diagonalisation whose shifted solves match dense ones.  The one
+unitary diagonalisation whose shifted solves match dense ones; on
+checkerboard skew matrices of any scale from 1e-300 to 1e300, every
+shifted solve is certified or refused with a named error.  The one
 orthonormal Jacobi table, its derivatives and the radial factors built on
 it agree with scipy's Jacobi polynomials and Gauss rules at any exponents.
 """
@@ -244,6 +246,32 @@ def test_hermitian_and_skew_forms_are_unitary_diagonalisations(kind, field, n, s
     x = solve_shifted(form, lams, b)
     ref = np.stack([scipy.linalg.solve(lam * np.eye(n) - dense, b) for lam in lams], axis=1)
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@PROPERTY
+@given(n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1), exponent=st.integers(-300, 300),
+       rhs_exponent=st.integers(-300, 300), on_spectrum=st.booleans(),
+       shifts=st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                          allow_infinity=False), min_size=1, max_size=8))
+def test_skew_checkerboard_solves_are_certified_or_refused_at_any_scale(
+        n, seed, exponent, rhs_exponent, on_spectrum, shifts):
+    a = real_matrix("skew", n, seed, 10.0 ** exponent)
+    form = schur_form(a)
+    assert (form.u is not None) == bool(np.any(a))
+    lams = np.array(shifts, dtype=complex) * 10.0 ** exponent
+    if on_spectrum and n:
+        lams[0] = form.t.diagonal()[seed % n]
+    b = 10.0 ** rhs_exponent * np.random.default_rng(seed).standard_normal(n)
+    # a result is certified, else a BallspecError; a bare RuntimeWarning is
+    # an error under the suite's warning policy
+    try:
+        x = solve_shifted(form, lams, b)
+    except BallspecError:
+        return
+    assert x.shape == (n, lams.size) and np.all(np.isfinite(x))
+    s = 2.0 ** np.frexp(np.max(np.abs(b), initial=1.0))[1]  # exact: a power of 2
+    res = np.linalg.norm((x * lams - a @ x - b[:, None]) / s, axis=0)
+    assert np.all(res <= 1e-10 * np.linalg.norm(b / s))
 
 
 @PROPERTY

@@ -126,16 +126,16 @@ def counting(calls, name, fn):
 
 def test_default_contour_takes_one_eigensolve(monkeypatch):
     # the Schur form is the only eigensolve: the contour comes off its
-    # diagonal, and the skew Dr's form is one eigh
+    # diagonal, and the skew checkerboard Dr's form is one half-size svd
     d = build_Dr(4, 2.0)
     v = np.linspace(-1.0, 1.0, 5)
     want = contour_apply(np.exp, schur_form(d), v)
-    calls = {"eigvals": 0, "schur": 0, "eigh": 0}
+    calls = {"eigvals": 0, "schur": 0, "eigh": 0, "svd": 0}
     monkeypatch.setattr(np.linalg, "eigvals", counting(calls, "eigvals", np.linalg.eigvals))
-    monkeypatch.setattr(scipy.linalg, "schur", counting(calls, "schur", scipy.linalg.schur))
-    monkeypatch.setattr(scipy.linalg, "eigh", counting(calls, "eigh", scipy.linalg.eigh))
+    for name in ("schur", "eigh", "svd"):
+        monkeypatch.setattr(scipy.linalg, name, counting(calls, name, getattr(scipy.linalg, name)))
     got = contour_apply(np.exp, d, v)
-    assert calls == {"eigvals": 0, "schur": 0, "eigh": 1}
+    assert calls == {"eigvals": 0, "schur": 0, "eigh": 0, "svd": 1}
     assert np.array_equal(got, want)
 
 
@@ -316,8 +316,8 @@ def scaled_Dr(n, rho):
 
 
 def factorisations(monkeypatch, a):
-    """(schur_form(a), {"schur": calls, "eigh": calls}) for one factorisation of a."""
-    calls = {"schur": 0, "eigh": 0}
+    """(schur_form(a), {"schur": calls, "eigh": calls, "svd": calls}) for one factorisation of a."""
+    calls = {"schur": 0, "eigh": 0, "svd": 0}
     with monkeypatch.context() as m:
         for name in calls:
             m.setattr(scipy.linalg, name, counting(calls, name, getattr(scipy.linalg, name)))
@@ -325,13 +325,15 @@ def factorisations(monkeypatch, a):
 
 
 @pytest.mark.parametrize("rho", [1.0, 10.0])
-def test_a_generator_scaled_skew_operator_takes_one_eigh(monkeypatch, rho):
+def test_a_generator_scaled_skew_operator_takes_one_half_size_svd(monkeypatch, rho):
     # the benchmark's operator: skew only to rounding, since the generators
-    # are scaled before their products are formed
+    # are scaled before their products are formed, and exactly zero on its
+    # even-parity entries
     a = scaled_Dr(96, rho)
     form, calls = factorisations(monkeypatch, a)
     assert not np.array_equal(form.dense, -form.dense.T)
-    assert calls == {"schur": 0, "eigh": 1} and form.diagonal
+    assert calls == {"schur": 0, "eigh": 0, "svd": 1} and form.diagonal
+    assert form.u.shape == (48, 48) and form.sigma.shape == (48,) and form.v.shape == (48, 48)
     assert np.array_equal(form.t, np.diag(form.t.diagonal()))
     v = np.linspace(-1.0, 1.0, 96)
     ref = scipy.linalg.expm(form.dense) @ v
@@ -346,7 +348,7 @@ def test_a_perturbed_skew_matrix_keeps_the_triangular_schur_path(monkeypatch):
     h = h + h.T
     a = skew + 1e-6 * np.linalg.norm(skew, 2) / np.linalg.norm(h, 2) * h
     form, calls = factorisations(monkeypatch, a)
-    assert calls == {"schur": 1, "eigh": 0} and not form.diagonal
+    assert calls == {"schur": 1, "eigh": 0, "svd": 0} and not form.diagonal
     assert np.any(np.triu(form.t, 1) != 0.0)
     v = np.linspace(-1.0, 1.0, 24)
     x = solve_shifted(form, SHIFTS, v)
@@ -411,6 +413,7 @@ def test_non_finite_matrix_is_refused_before_the_eigensolve(monkeypatch, bad):
     monkeypatch.setattr(np.linalg, "eigvals", refuse("eigvals"))
     monkeypatch.setattr(scipy.linalg, "schur", refuse("schur"))
     monkeypatch.setattr(scipy.linalg, "eigh", refuse("eigh"))
+    monkeypatch.setattr(scipy.linalg, "svd", refuse("svd"))
     with pytest.raises(ParameterError, match="non-finite"):
         default_contour(a)
     with pytest.raises(ParameterError, match="non-finite"):
@@ -433,7 +436,7 @@ def test_non_finite_rhs_shift_or_vector_is_refused_before_the_factorisation(monk
     a = np.eye(3)
     ops = (a, build_Dr(2, 2.0), schur_form(a))
     finite, non_finite = np.array([1.0, 0.0, 0.0]), np.array([1.0, bad, 0.0])
-    for name in ("schur", "eigh"):
+    for name in ("schur", "eigh", "svd"):
         monkeypatch.setattr(scipy.linalg, name,
                             lambda *args, name=name, **kwargs: pytest.fail(f"{name} was called"))
     for op in ops:
@@ -446,7 +449,7 @@ def test_non_finite_rhs_shift_or_vector_is_refused_before_the_factorisation(monk
 
 @pytest.mark.parametrize("a", [np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2)), np.float64(2.0)])
 def test_a_matrix_that_is_not_square_is_refused_with_size_mismatch(monkeypatch, a):
-    for name in ("schur", "eigh"):
+    for name in ("schur", "eigh", "svd"):
         monkeypatch.setattr(scipy.linalg, name,
                             lambda *args, name=name, **kwargs: pytest.fail(f"{name} was called"))
     rhs = np.ones(np.shape(a)[0] if np.ndim(a) else 1)
@@ -481,3 +484,116 @@ def test_a_non_finite_value_of_g_is_refused_at_a_later_batch():
     with pytest.raises(ParameterError, match="non-finite"):
         contour_apply(g, np.diag([1.0, 2.0]), np.ones(2))
     assert len(calls) == 4 * CONTOUR_FIRST_NODES
+
+
+def test_a_huge_rhs_is_certified_without_an_overflowing_norm():
+    # ||rhs||^2 and ||residual||^2 leave the double range above about 1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solve_shifted(np.eye(2), 5.0, np.array([1e175, 1e175]))
+        assert np.allclose(x, 0.25e175, rtol=1e-15, atol=0.0)
+        assert np.allclose(solve_shifted(np.eye(2), 5.0, np.array([1e-175, 1e-175])), 0.25e-175,
+                           rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_a_scaled_vector_takes_the_same_node_count(monkeypatch, scale):
+    # ||v|| overflowed to inf above about 1e154, so the stopping test passed
+    # after the first batch whatever the two sums were
+    a = scaled_Dr(96, 10.0)
+    v = np.random.default_rng(7).standard_normal(96) + 0.5j
+    ref = scipy.linalg.expm(a.to_dense()) @ v
+    solve_shifted_ = semisep.solve_shifted
+
+    def node_counts(w):
+        shifts = []
+
+        def counted_solve_shifted(form, lams, rhs, **kwargs):
+            shifts.append(np.size(lams))
+            return solve_shifted_(form, lams, rhs, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(semisep, "solve_shifted", counted_solve_shifted)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return contour_apply(np.exp, a, w), shifts
+
+    want, want_shifts = node_counts(v)
+    got, got_shifts = node_counts(scale * v)
+    assert got_shifts == want_shifts and len(want_shifts) > 1
+    assert np.linalg.norm(want - ref) <= 1e-10 * np.linalg.norm(v)
+    assert np.linalg.norm(got / scale - ref) <= 1e-10 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n", [96, 97])
+def test_a_skew_checkerboard_contour_takes_one_half_size_svd(monkeypatch, n):
+    a = scaled_Dr(n, 10.0)
+    v = np.linspace(-1.0, 1.0, n) + 0.25j
+    calls = {"eigvals": 0, "schur": 0, "eigh": 0, "svd": 0}
+    shapes = []
+    svd = scipy.linalg.svd
+
+    def counted_svd(b, *args, **kwargs):
+        shapes.append(b.shape)
+        return svd(b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting(calls, "eigvals", np.linalg.eigvals))
+    for name in ("schur", "eigh"):
+        monkeypatch.setattr(scipy.linalg, name, counting(calls, name, getattr(scipy.linalg, name)))
+    monkeypatch.setattr(scipy.linalg, "svd", counting(calls, "svd", counted_svd))
+    got = contour_apply(np.exp, a, v)
+    monkeypatch.undo()
+    assert calls == {"eigvals": 0, "schur": 0, "eigh": 0, "svd": 1}
+    assert shapes == [((n + 1) // 2, n // 2)]
+    ref = scipy.linalg.expm(a.to_dense()) @ v
+    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(v)
+
+
+def test_an_odd_skew_checkerboard_solves_its_null_vector_and_refuses_a_zero_shift():
+    a = scaled_Dr(25, 5.0)
+    form = schur_form(a)
+    assert form.sigma.shape == (12,) and form.u.shape == (13, 13) and form.v.shape == (12, 12)
+    null = scipy.linalg.null_space(a.to_dense())
+    assert null.shape == (25, 1)
+    for lam in SHIFTS:
+        x = solve_shifted(form, lam, null[:, 0])
+        assert np.max(np.abs(x - null[:, 0] / lam)) <= 1e-13 / abs(lam)
+    b = np.linspace(-1.0, 1.0, 25)
+    want = np.stack([scipy.linalg.solve(lam * np.eye(25) - a.to_dense(), b) for lam in SHIFTS], 1)
+    assert np.max(np.abs(solve_shifted(form, SHIFTS, b) - want)) <= 1e-12 * np.max(np.abs(want))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (0.0, np.array([1.0j, 0.0])):
+            with pytest.raises(SolveError, match="singular"):
+                solve_shifted(form, lam, b)
+
+
+@pytest.mark.parametrize("n", [24, 25])
+def test_the_exact_shifts_plus_minus_i_sigma_are_refused_without_a_warning(n):
+    form = schur_form(scaled_Dr(n, 5.0))
+    assert np.array_equal(np.sort_complex(form.t.diagonal()),
+                          np.sort_complex(np.concatenate([1j * form.sigma, -1j * form.sigma,
+                                                          np.zeros(n % 2)])))
+    b = np.ones(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (0, 5, n // 2 - 1):
+            for lam in (1j * form.sigma[k], -1j * form.sigma[k]):
+                with pytest.raises(SolveError, match="singular"):
+                    solve_shifted(form, lam, b)
+                with pytest.raises(SolveError, match="singular"):
+                    solve_shifted(form, np.array([0.5, lam]), b)
+
+
+def test_a_symmetric_or_nearly_checkerboard_matrix_keeps_the_eigh_path(monkeypatch):
+    skew = scaled_Dr(24, 5.0).to_dense()
+    symmetric = np.abs(skew)  # a symmetric checkerboard
+    off = skew.copy()
+    off[4, 6] = 1e-300  # one even-parity entry, far below the skew tolerance
+    for a in (symmetric, off):
+        form, calls = factorisations(monkeypatch, a)
+        assert calls == {"schur": 0, "eigh": 1, "svd": 0} and form.diagonal and form.u is None
+        v = np.linspace(-1.0, 1.0, 24)
+        x = solve_shifted(form, SHIFTS, v)
+        want = np.stack([scipy.linalg.solve(lam * np.eye(24) - a, v) for lam in SHIFTS], 1)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
