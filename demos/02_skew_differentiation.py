@@ -44,7 +44,7 @@ print("  multiplies for n=33/66  :", mults, mults2, "-> linear growth")
 # the checkerboard makes D a permuted [[0, B], [-B^T, 0]]: one SVD of the
 # 17 x 16 block B gives every eigenvalue +-i sigma (and 0, since n is odd)
 form = schur_form(d)
-half = np.sort(form.t.diagonal().imag)
+half = np.sort(form.eig.imag)
 eig = np.linalg.eigvals(dense)
 eig = eig[np.argsort(eig.imag)]
 print("  half-size SVD of B      :", form.u.shape[0], "x", form.v.shape[0])

@@ -1,8 +1,8 @@
 """Rank-structured matrix kernel: linear-time matvec, shifted solves and
 contour-quadrature application of analytic matrix functions.
 
-A SemiSep2 holds an (M+1)x(M+1) matrix through generator sequences: the
-strictly lower part is an outer product p q^T, the strictly upper part
+A SemiSep2 holds an (M+1)x(M+1) real matrix through generator sequences:
+the strictly lower part is an outer product p q^T, the strictly upper part
 u v^T, each of rank at most 2, plus a diagonal.  An optional parity mask
 zeroes every entry with even row+column sum; masked instances carry rank-1
 generators, and the mask folds them into rank-2 generators of the unmasked
@@ -10,28 +10,16 @@ form (p_i q_j [(i+j) odd] = (p*even)_i (q*odd)_j + (p*odd)_i (q*even)_j).
 to_dense, matvec and matvec_counted all read that one form, and the
 multiply counter counts the kernel that matvec runs.
 
-The complex Schur form A = Z T Z^H (SchurForm) is the one factorisation:
-shifted solves, the spectrum and the contour all read it.  A Hermitian or
-skew-Hermitian A (up to rounding) is normal, so its Schur form is
-diagonal.  The skew radial differentiation matrix is also zero wherever
-i + j is even, so permuted to even then odd indices it is
-[[0, B], [-B^T, 0]]: one real SVD B = U diag(sigma) V^T of the half-size
-block gives its eigenvalues +-i sigma and its eigenvectors
-(u, +-i v)/sqrt 2.  Any other (skew-)Hermitian A takes one eigh of its
-exact Hermitian projection, and any other real A LAPACK's real Schur form,
-whose 2x2 blocks one vectorised rotation step makes triangular.  A real A
-stays real in the form: its products with complex iterates are real
-products over their interleaved real and imaginary parts.  solve_shifted
-takes a SemiSep2, a dense array or a SchurForm, and one shift or an array
-of them; every shift shares one solve with T and one refinement step.  A
-form with a half-size SVD solves with four real half-size products and a
-2x2 solve per pair of eigenvalues; any other diagonal T is a division, and
-a triangular T one back-substitution sweep over its rows.  Every column is
-certified by its residual against the dense A, never against T, with
-2-norms that are scaled first so that they neither overflow nor
-underflow.  contour_apply factors A once, places its circle off the
-diagonal of T, and makes one batched solve per batch of nodes: the first
-two node counts together, then one per doubling.
+Every operator the paper builds is normal: the radial differentiation
+matrix is skew and every PDE generator block Hermitian.  So the one
+factorisation is a diagonal spectral form A = Z diag(eig) Z^H (SchurForm,
+from schur_form) of a Hermitian or skew-Hermitian A, up to rounding; any
+other matrix raises ParameterError.  The skew checkerboard Dr takes one
+real SVD of its half-size block, any other A one eigh.  solve_shifted and
+contour_apply read the form: every shift shares one diagonal solve and one
+refinement step, and every column is certified by its residual against
+the dense A.  contour_apply factors A once and makes one batched solve per
+batch of contour nodes.
 """
 
 from __future__ import annotations
@@ -58,8 +46,22 @@ class ContourError(BallspecError, RuntimeError):
     pass
 
 
-def _as_gen(g, size):
-    g = np.atleast_2d(np.asarray(g, dtype=float))
+def _refuse_non_finite(what: str, x) -> None:
+    if not np.all(np.isfinite(x)):
+        raise ParameterError(f"{what} has non-finite entries")
+
+
+def _as_real(what: str, x) -> np.ndarray:
+    """x as a finite real array; a complex or non-finite x raises ParameterError."""
+    if np.iscomplexobj(x):
+        raise ParameterError(f"{what} must be real, got a complex array")
+    x = np.asarray(x, dtype=float)
+    _refuse_non_finite(what, x)
+    return x
+
+
+def _as_gen(what, g, size):
+    g = np.atleast_2d(_as_real(f"generator {what}", g))
     if g.shape[0] > 2 or g.shape[1] != size:
         raise SizeMismatchError(f"generator shape {g.shape} incompatible with size {size}")
     return g
@@ -73,6 +75,7 @@ class SemiSep2:
     A[i, j] = sum_s u[s, i] v[s, j]   for i < j,
     A[i, i] = diag[i],
     all multiplied by the parity mask (row+col odd) when parity_mask is set.
+    The generators and diagonal are real and finite, else ParameterError.
     The mask is applied in one place: _generators folds it into rank-2
     generators of this unmasked form, and every method reads those.
     """
@@ -86,13 +89,13 @@ class SemiSep2:
     parity_mask: bool = False
 
     def __post_init__(self):
-        self.p = _as_gen(self.p, self.size)
-        self.q = _as_gen(self.q, self.size)
-        self.u = _as_gen(self.u, self.size)
-        self.v = _as_gen(self.v, self.size)
+        self.p = _as_gen("p", self.p, self.size)
+        self.q = _as_gen("q", self.q, self.size)
+        self.u = _as_gen("u", self.u, self.size)
+        self.v = _as_gen("v", self.v, self.size)
         if self.diag is None:
             self.diag = np.zeros(self.size)
-        self.diag = np.asarray(self.diag, dtype=float)
+        self.diag = _as_real("diagonal", self.diag)
         if self.diag.shape != (self.size,):
             raise SizeMismatchError("diagonal length must equal size")
         if self.parity_mask and (self.p.shape[0] > 1 or self.u.shape[0] > 1):
@@ -146,59 +149,24 @@ class SemiSep2:
 
 @dataclass(frozen=True)
 class SchurForm:
-    """Complex Schur form A = Z T Z^H of a dense matrix, kept next to A.
+    """Diagonal spectral form A = Z diag(eig) Z^H of a Hermitian or
+    skew-Hermitian matrix, kept next to A.
 
-    t is complex upper triangular and z unitary; diagonal is set when t is
-    diagonal (A Hermitian or skew-Hermitian, z its eigenvectors).  dense is
-    A itself, real for a real A, so that A x for a complex x is one real
-    product.  For a real skew A that is zero wherever i + j is even, u,
-    sigma and v hold the SVD U diag(sigma) V^T of its half block
-    B = (A[0::2, 1::2] - A[1::2, 0::2]^T) / 2, with U square: then t is
-    diag(i sigma, -i sigma, 0), z holds (u_k, i v_k)/sqrt 2, then
-    (u_k, -i v_k)/sqrt 2 on the even and odd rows, and for odd n last the
-    null vector (u_last, 0), and solves read u, sigma and v, never z.
+    eig is the 1-D spectrum, and dense is A itself, real for a real A, so
+    that A x for a complex x is one real product.  z holds the unitary
+    eigenvectors of one eigh.  For a real skew A that is zero wherever
+    i + j is even, z is None and u, sigma and v hold the SVD
+    U diag(sigma) V^T of its half block B = (A[0::2, 1::2] - A[1::2, 0::2]^T) / 2,
+    with U square: eig is (i sigma, -i sigma, then 0 for odd n), and the
+    eigenvectors (u_k, +-i v_k)/sqrt 2 and (u_last, 0) are never formed.
     """
 
     dense: np.ndarray
-    t: np.ndarray
-    z: np.ndarray
-    diagonal: bool = False
+    eig: np.ndarray
+    z: np.ndarray | None = None
     u: np.ndarray | None = None
     sigma: np.ndarray | None = None
     v: np.ndarray | None = None
-
-
-def _refuse_non_finite(what: str, x) -> None:
-    if not np.all(np.isfinite(x)):
-        raise ParameterError(f"{what} has non-finite entries")
-
-
-def _complex_from_real_schur(t, z):
-    """(T, Z) of the complex Schur form from LAPACK's standardised real one.
-
-    Each 2x2 block of t holds a complex pair and is made triangular by one
-    Givens rotation, as in scipy's rsf2csf; a block counts when its
-    subdiagonal entry exceeds eps (|t_mm| + |t_m+1,m+1|).  A standardised
-    block has t_mm = t_m+1,m+1 and t_m,m+1 t_m+1,m < 0, so its pair is
-    t_mm +- i sqrt(|t_m,m+1| |t_m+1,m|).  The blocks sit on disjoint row and
-    column pairs, so their rotations commute: all are taken from the
-    original t and applied at once to t's rows, t's columns and z's columns.
-    """
-    diag, sub = np.abs(t.diagonal()), t.diagonal(-1)
-    lo = np.flatnonzero(np.abs(sub) > np.finfo(float).eps * (diag[:-1] + diag[1:]))
-    hi, sub = lo + 1, sub[lo]
-    # lam - t_m+1,m+1 for the eigenvalue lam of the block with lam.imag > 0
-    mu = 1j * np.sqrt(np.abs(t.diagonal(1)[lo])) * np.sqrt(np.abs(sub))
-    r = np.hypot(mu.imag, sub)
-    cos, sin = mu / r, sub / r
-    t, z = t.astype(complex), z.astype(complex)
-    # G = [[conj(cos), sin], [-sin, cos]] on each row pair of t, G^H on each
-    # column pair of t and of z
-    c, s = cos[:, None], sin[:, None]
-    t[lo], t[hi] = c.conj() * t[lo] + s * t[hi], c * t[hi] - s * t[lo]
-    for x in (t, z):
-        x[:, lo], x[:, hi] = x[:, lo] * cos + x[:, hi] * sin, x[:, hi] * cos.conj() - x[:, lo] * sin
-    return np.triu(t), z
 
 
 #: A counts as (skew-)Hermitian when max|A -+ A^H| <= this many eps max|A|;
@@ -207,52 +175,48 @@ _HERMITIAN_SLACK = 4.0
 
 
 def _hermitian_sign(dense) -> int:
-    """1 for a Hermitian A, -1 for a skew-Hermitian one (up to rounding), else 0."""
+    """1 for a Hermitian A, -1 for a skew-Hermitian one (up to rounding);
+    any other A raises ParameterError."""
     tol = _HERMITIAN_SLACK * np.finfo(float).eps * np.max(np.abs(dense), initial=0.0)
     adj = dense.conj().T
-    if np.max(np.abs(dense - adj), initial=0.0) <= tol:
+    minus = np.max(np.abs(dense - adj), initial=0.0)
+    if minus <= tol:
         return 1
-    if np.max(np.abs(dense + adj), initial=0.0) <= tol:
+    plus = np.max(np.abs(dense + adj), initial=0.0)
+    if plus <= tol:
         return -1
-    return 0
+    raise ParameterError(
+        f"matrix is neither Hermitian nor skew-Hermitian: max|A - A^H| = {minus:.3e} and "
+        f"max|A + A^H| = {plus:.3e} exceed the slack {tol:.3e}")
 
 
 def _skew_checkerboard_form(dense) -> SchurForm:
-    """The diagonal SchurForm of a real skew A that is zero wherever i + j is even.
+    """The SchurForm of a real skew A that is zero wherever i + j is even.
 
     Permuted to even then odd indices, A is [[0, B], [-B^T, 0]] up to
     rounding, with B the ceil(n/2) x floor(n/2) block of its exact skew
     projection.  One SVD B = U diag(sigma) V^T (U square) gives every
     eigenpair: A (u_k, +-i v_k) = +-i sigma_k (u_k, +-i v_k), and a column
-    of U past sigma (odd n) is a null vector (u, 0).  z is assembled from U
-    and V in O(n^2).
+    of U past sigma (odd n) is a null vector (u, 0).
     """
     u, sigma, vt = scipy.linalg.svd(0.5 * (dense[0::2, 1::2] - dense[1::2, 0::2].T))
-    n, k = len(dense), len(sigma)
-    z = np.zeros((n, n), dtype=complex)
-    z[0::2, :k] = z[0::2, k:2 * k] = u[:, :k] / np.sqrt(2.0)
-    z[1::2, :k] = 1j * vt.T / np.sqrt(2.0)
-    z[1::2, k:2 * k] = -z[1::2, :k]
-    z[0::2, 2 * k:] = u[:, k:]
-    eig = np.concatenate([1j * sigma, -1j * sigma, np.zeros(n - 2 * k)])
-    return SchurForm(dense=dense, t=np.diag(eig), z=z, diagonal=True, u=u, sigma=sigma, v=vt.T)
+    eig = np.concatenate([1j * sigma, -1j * sigma, np.zeros(len(dense) - 2 * len(sigma))])
+    return SchurForm(dense=dense, eig=eig, u=u, sigma=sigma, v=vt.T)
 
 
 def schur_form(a) -> SchurForm:
-    """One complex Schur factorisation of a SemiSep2 or dense matrix.
+    """One diagonal spectral form of a Hermitian or skew-Hermitian SemiSep2
+    or dense matrix.
 
     A real skew matrix (up to a few eps max|A|) that is exactly zero
     wherever i + j is even, such as the skew Dr, takes one real SVD of its
     half-size block (_skew_checkerboard_form).  Any other Hermitian or
     skew-Hermitian matrix takes one eigh of its exact Hermitian projection
-    H: A = s H = Z diag(s w) Z^H with s = 1 or -i.  Either way T is
-    diagonal.  Any other real matrix takes LAPACK's real Schur form, whose
-    2x2 blocks are made triangular by one vectorised rotation step
-    (_complex_from_real_schur); a complex one takes the complex Schur form.
-    A real matrix keeps a real dense throughout.  A matrix that is not
-    square and 2-D raises SizeMismatchError, one with a non-finite entry
-    ParameterError.  A SchurForm is returned as it is, so every caller
-    factors at most once.
+    H: A = s H = Z diag(s w) Z^H with s = 1 or -i.  A real matrix keeps a
+    real dense.  A matrix that is not square and 2-D raises
+    SizeMismatchError; one with a non-finite entry, or one that is neither
+    Hermitian nor skew-Hermitian, ParameterError.  A SchurForm is returned
+    as it is, so every caller factors at most once.
     """
     if isinstance(a, SchurForm):
         return a
@@ -265,20 +229,14 @@ def schur_form(a) -> SchurForm:
     if sign < 0 and dense.dtype == float and not (
             dense[0::2, 0::2].any() or dense[1::2, 1::2].any()):
         return _skew_checkerboard_form(dense)
-    if sign:
-        # A = s H up to rounding: H = (A + A^H)/2 with s = 1, or
-        # H = i (A - A^H)/2 with s = -i
-        adj = dense.conj().T
-        h, s = (0.5 * (dense + adj), 1.0 + 0.0j) if sign > 0 else (0.5j * (dense - adj), -1.0j)
-        # divide and conquer: MRRR's eigenvectors of the +-w pairs of a
-        # skew checkerboard lose orthogonality (1e-12 at n = 256)
-        w, z = scipy.linalg.eigh(h, driver="evd")
-        return SchurForm(dense=dense, t=np.diag(w * s), z=z, diagonal=True)
-    if np.iscomplexobj(dense):
-        t, z = scipy.linalg.schur(dense, output="complex")
-    else:
-        t, z = _complex_from_real_schur(*scipy.linalg.schur(dense, output="real"))
-    return SchurForm(dense=dense, t=t, z=z)
+    # A = s H up to rounding: H = (A + A^H)/2 with s = 1, or
+    # H = i (A - A^H)/2 with s = -i
+    adj = dense.conj().T
+    h, s = (0.5 * (dense + adj), 1.0 + 0.0j) if sign > 0 else (0.5j * (dense - adj), -1.0j)
+    # divide and conquer: MRRR's eigenvectors of the +-w pairs of a
+    # skew checkerboard lose orthogonality (1e-12 at n = 256)
+    w, z = scipy.linalg.eigh(h, driver="evd")
+    return SchurForm(dense=dense, eig=w * s, z=z)
 
 
 def _real_times(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -311,7 +269,7 @@ def _norm(x: np.ndarray, axis=None):
 def _refuse_singular(lams: np.ndarray, zero_pivot: np.ndarray) -> None:
     singular = np.flatnonzero(np.any(zero_pivot, axis=0))
     if singular.size:
-        raise SolveError(f"shift {lams[singular[0]]} is singular: T - lam*I has a zero pivot")
+        raise SolveError(f"shift {lams[singular[0]]} is singular: it is an eigenvalue of the form")
 
 
 def _pair_solver(form: SchurForm, lams: np.ndarray):
@@ -345,32 +303,25 @@ def _pair_solver(form: SchurForm, lams: np.ndarray):
     return apply
 
 
-def _triangular_solver(form: SchurForm, lams: np.ndarray):
-    """b -> (lam_j*I - A)^{-1} b per shift, through A = Z T Z^H."""
-    shifted = form.t.diagonal()[:, None] - lams  # the diagonals of T - lam_j*I
+def _eigh_solver(form: SchurForm, lams: np.ndarray):
+    """b -> (lam_j*I - A)^{-1} b per shift, through A = Z diag(eig) Z^H."""
+    shifted = form.eig[:, None] - lams
     _refuse_singular(lams, shifted == 0.0)
     zh = form.z.conj().T
 
-    def apply(b):  # (lam*I - Z T Z^H)^{-1} b = -Z (T - lam*I)^{-1} Z^H b, per column
-        c = zh @ b  # one column, or one per shift
-        if form.diagonal:
-            return -(form.z @ (c / shifted))
-        y = np.empty(shifted.shape, dtype=complex)
-        # one back-substitution sweep over the rows of T serves every shift
-        for i in range(len(y) - 1, -1, -1):
-            y[i] = (c[i] - form.t[i, i + 1:] @ y[i + 1:]) / shifted[i]
-        return -(form.z @ y)
+    def apply(b):  # (lam*I - Z E Z^H)^{-1} b = -Z (E - lam*I)^{-1} Z^H b, per column
+        return -(form.z @ ((zh @ b) / shifted))
 
     return apply
 
 
 def _schur_solve(form: SchurForm, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Columns (lam_j*I - A)^{-1} rhs through the form, refined once against the dense A."""
-    apply = (_pair_solver if form.u is not None else _triangular_solver)(form, lams)
+    apply = (_eigh_solver if form.z is not None else _pair_solver)(form, lams)
     rhs = rhs[:, None]
     x = apply(rhs)
-    # The Schur form's own backward error is the same at every node, so it
-    # does not average out over the contour; one refinement step removes it.
+    # The form's own backward error is the same at every node, so it does
+    # not average out over the contour; one refinement step removes it.
     return x + apply(rhs - (x * lams - _times_dense(form, x)))
 
 
@@ -378,23 +329,24 @@ def solve_shifted(a, lam, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Solve (lam*I - A) x = rhs with a post-solve residual certificate.
 
     lam is one shift, or a 1-D array of shifts: then the result has one
-    column per shift.  A is a SchurForm, or a SemiSep2 or dense array that
-    is factored first by schur_form (O(n^3) once, whatever the number of
-    shifts: one half-size SVD for a skew checkerboard A, one eigh for any
-    other (skew-)Hermitian A, else one Schur form).  Every shift shares one
-    solve with T, vectorised across shifts, and one step of iterative
-    refinement.  With a half-size SVD that solve is four real half-size
-    products and a division by each pivot lam -+ i sigma_k; any other
-    diagonal T is a division, a triangular one one back-substitution sweep
-    over its rows, so k shifts cost O(k n^2) in matrix-matrix products.
-    Every column is certified, ||(lam*I - A) x - rhs|| <= tol ||rhs||,
-    against the dense A, never against T, with norms scaled by the largest
-    entry so that they hold at any scale; a singular shift or a failed
-    certificate raises SolveError, whose residual is the worst column's.  A
-    column that leaves the double range is not finite, so its certificate
-    fails too.  A non-finite rhs, shift or matrix entry raises
-    ParameterError before the factorisation.
+    column per shift.  A is a SchurForm, or a Hermitian or skew-Hermitian
+    SemiSep2 or dense array that is factored first by schur_form (O(n^3)
+    once, whatever the number of shifts: one half-size SVD for a skew
+    checkerboard A, else one eigh).  Every shift shares one diagonal solve,
+    vectorised across shifts, and one step of iterative refinement.  With a
+    half-size SVD that solve is four real half-size products and a division
+    by each pivot lam -+ i sigma_k, else two products by Z and a division,
+    so k shifts cost O(k n^2) in matrix-matrix products.  Every column is
+    certified, ||(lam*I - A) x - rhs|| <= tol ||rhs||, against the dense A,
+    with norms scaled by the largest entry so that they hold at any scale;
+    a singular shift or a failed certificate raises SolveError, whose
+    residual is the worst column's.  A column that leaves the double range
+    is not finite, so its certificate fails too.  A NaN or negative tol, a
+    non-finite rhs, shift or matrix entry, or a matrix that is neither
+    Hermitian nor skew-Hermitian raises ParameterError before any solve.
     """
+    if not tol >= 0.0:
+        raise ParameterError(f"tol must be a nonnegative number, got {tol}")
     rhs = np.asarray(rhs)
     lams = np.asarray(lam)
     if lams.ndim > 1:
@@ -424,8 +376,8 @@ CONTOUR_MAX_NODES = 1024
 
 
 def spectral_radius_estimate(a) -> float:
-    """The largest |lam| on the diagonal of A's Schur form."""
-    eig = schur_form(a).t.diagonal()
+    """The largest |lam| over the spectrum of A's form."""
+    eig = schur_form(a).eig
     return float(np.max(np.abs(eig))) if eig.size else 0.0
 
 
@@ -434,10 +386,10 @@ def default_contour(a) -> tuple[complex, float]:
 
     The spread counts as at least a tenth of the centroid's modulus (and
     1e-8), so the circle strictly encloses every eigenvalue.  The
-    eigenvalues are the diagonal of A's Schur form; a SchurForm gives them
-    without a further factorisation.
+    eigenvalues are read off A's form; a SchurForm gives them without a
+    further factorisation.
     """
-    eig = schur_form(a).t.diagonal()
+    eig = schur_form(a).eig
     if eig.size == 0:
         return 0.0, 1e-8
     center = complex(np.mean(eig))
@@ -455,18 +407,19 @@ def contour_apply(g, a, v: np.ndarray) -> np.ndarray:
     spectrum; the node count starts at CONTOUR_FIRST_NODES and is doubled
     until two successive results agree to CONTOUR_TOL (relative to ||v||,
     both norms scaled so that they hold at any scale of v), or else
-    ContourError is raised past CONTOUR_MAX_NODES nodes.  A is factored
-    once by schur_form (one half-size SVD for a skew checkerboard A such
-    as the skew Dr, one eigh for any other (skew-)Hermitian A, else one
-    Schur form), and the circle is placed from the eigenvalues on the
-    diagonal of T, so no other eigensolve runs.  Every batch of nodes is
-    one batched solve_shifted call.  The first batch holds the first two
-    node counts: the 2n-th roots of unity contain the n-th ones as their
-    even-indexed members, so the n-node sum is read off its even columns.
-    Each later doubling solves only at its new (odd-indexed) nodes, and the
-    node sum carries over.  g is called once per node with a scalar.  A
-    non-finite entry of v or of A raises ParameterError before the
-    factorisation, and a non-finite value of g before its batch is solved.
+    ContourError is raised past CONTOUR_MAX_NODES nodes.  A is Hermitian or
+    skew-Hermitian and is factored once by schur_form (one half-size SVD
+    for a skew checkerboard A such as the skew Dr, else one eigh), and the
+    circle is placed from the form's eigenvalues, so no other eigensolve
+    runs.  Every batch of nodes is one batched solve_shifted call.  The
+    first batch holds the first two node counts: the 2n-th roots of unity
+    contain the n-th ones as their even-indexed members, so the n-node sum
+    is read off its even columns.  Each later doubling solves only at its
+    new (odd-indexed) nodes, and the node sum carries over.  g is called
+    once per node with a scalar.  A non-finite entry of v or of A, or an A
+    that is neither Hermitian nor skew-Hermitian, raises ParameterError
+    before the factorisation's solves, and a value of g that is not finite,
+    overflow included, before its batch is solved.
     """
     v = np.asarray(v, dtype=complex)
     _refuse_non_finite("vector", v)
@@ -479,7 +432,9 @@ def contour_apply(g, a, v: np.ndarray) -> np.ndarray:
     new = np.arange(nodes)
     while nodes <= CONTOUR_MAX_NODES:
         lams = center + radius * np.exp(1j * (2.0 * np.pi * new / nodes))
-        values = np.array([g(lam) for lam in lams])
+        # an overflowing g gives inf or nan, which the check below refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.array([g(lam) for lam in lams])
         _refuse_non_finite("g on the contour", values)
         weights = values * (lams - center)
         x = solve_shifted(form, lams, v, tol=1e-8)

@@ -6,14 +6,15 @@ family, truncation and exponent.  The exponents are even integers: then the
 Gauss-Jacobi rule sees a polynomial and analysis is exact to rounding.  The
 split obeys Parseval and commutes with rotations in the first angle, the
 radial matrix keeps its structure, the one-core flow equals the dense
-exponential of every mode's block, and on random non-normal rank-2 matrices
-the contour exponential equals the dense one while every batched shifted
-solve is certified or refused; the complex Schur form of a real matrix is a
-unitary triangularisation with the eigenvalues of scipy's rsf2csf, and that
-of a Hermitian or skew-Hermitian one, or of a generator-scaled skew Dr, a
-unitary diagonalisation whose shifted solves match dense ones; on
-checkerboard skew matrices of any scale from 1e-300 to 1e300, every
-shifted solve is certified or refused with a named error.  The one
+exponential of every mode's block, and on random symmetric and skew rank-2
+matrices the contour exponential equals the dense one while every batched
+shifted solve is certified or refused; every finite square matrix gets a
+spectral form with its eigenvalues when it is Hermitian or skew-Hermitian,
+and is refused with ParameterError otherwise; the form of a Hermitian or
+skew-Hermitian matrix, or of a generator-scaled skew Dr, is a unitary
+diagonalisation whose shifted solves match dense ones; on checkerboard
+skew matrices of any scale from 1e-300 to 1e300, every shifted solve is
+certified or refused with a named error.  The one
 orthonormal Jacobi table, its derivatives and the radial factors built on
 it agree with scipy's Jacobi polynomials and Gauss rules at any exponents.
 """
@@ -38,7 +39,7 @@ from ballspec.expand import (
     synthesize,
 )
 from ballspec.pde import PdeKind, assemble, propagate
-from ballspec.jacobi import (BallspecError, JacobiParams, orthonormal_all,
+from ballspec.jacobi import (BallspecError, JacobiParams, ParameterError, orthonormal_all,
                              orthonormal_deriv_all)
 from ballspec.semisep import SemiSep2, contour_apply, schur_form, solve_shifted
 from ballspec.split import make_pos, raw_pair, verify_pos
@@ -129,19 +130,23 @@ def test_semisep_matvec_equals_dense_matvec(seed, size, rank, masked, complex_x)
         assert np.array_equal(dense, np.where((i + j) % 2 == 1, plain, 0.0))
 
 
-def non_normal_semisep(seed, size, norm):
-    """A random unmasked rank-2 SemiSep2 scaled to spectral norm ``norm``, and a rng."""
+def normal_semisep(seed, size, norm, symmetric):
+    """A random unmasked rank-2 SemiSep2, symmetric (u = q, v = p, with a
+    diagonal) or skew (u = -q, v = p), scaled to spectral norm ``norm``
+    (a zero matrix stays zero), and a rng."""
     rng = np.random.default_rng(seed)
-    gen = lambda: rng.standard_normal((2, size))
-    a = SemiSep2(size=size, p=gen(), q=gen(), u=gen(), v=gen(), diag=rng.standard_normal(size))
-    s = norm / np.linalg.norm(a.to_dense(), 2)
+    p, q = rng.standard_normal((2, size)), rng.standard_normal((2, size))
+    sign, diag = (1.0, rng.standard_normal(size)) if symmetric else (-1.0, np.zeros(size))
+    a = SemiSep2(size=size, p=p, q=q, u=sign * q, v=p, diag=diag)
+    s = norm / max(np.linalg.norm(a.to_dense(), 2), 1e-300)
     return SemiSep2(size=size, p=a.p * s, q=a.q, u=a.u * s, v=a.v, diag=a.diag * s), rng
 
 
 @PROPERTY
-@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 24), norm=st.floats(0.01, 4.0))
-def test_contour_exponential_equals_dense_expm(seed, size, norm):
-    a, rng = non_normal_semisep(seed, size, norm)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 24), norm=st.floats(0.01, 4.0),
+       symmetric=st.booleans())
+def test_contour_exponential_equals_dense_expm(seed, size, norm, symmetric):
+    a, rng = normal_semisep(seed, size, norm, symmetric)
     v = rng.uniform(-1.0, 1.0, size) + 1j * rng.uniform(-1.0, 1.0, size)
     ref = scipy.linalg.expm(a.to_dense()) @ v
     # relative to the result where it exceeds 1: e^A v reaches e^4 |v|
@@ -151,9 +156,10 @@ def test_contour_exponential_equals_dense_expm(seed, size, norm):
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 24), norm=st.floats(0.01, 4.0),
        shifts=st.lists(st.complex_numbers(max_magnitude=8.0, allow_nan=False,
-                                          allow_infinity=False), min_size=1, max_size=12))
-def test_batched_shifted_solve_is_certified_or_refused(seed, size, norm, shifts):
-    a, rng = non_normal_semisep(seed, size, norm)
+                                          allow_infinity=False), min_size=1, max_size=12),
+       symmetric=st.booleans())
+def test_batched_shifted_solve_is_certified_or_refused(seed, size, norm, shifts, symmetric):
+    a, rng = normal_semisep(seed, size, norm, symmetric)
     dense, lams = a.to_dense(), np.array(shifts, dtype=complex)
     # off the spectrum: no shift on an eigenvalue
     assume(np.min(np.abs(lams[:, None] - np.linalg.eigvals(dense))) > 1e-6)
@@ -169,9 +175,8 @@ def test_batched_shifted_solve_is_certified_or_refused(seed, size, norm, shifts)
 
 def real_matrix(kind, n, seed, scale):
     """A real n x n matrix: a general one, a skew rho*Dr/||Dr|| or random
-    checkerboard skew one (a diagonal form), the latter plus a triangular
-    perturbation of relative size 1e-6 (all its eigenvalues in 2x2 blocks
-    but at most one), or a triangular one (no 2x2 block)."""
+    checkerboard skew one, the latter plus a triangular perturbation of
+    relative size 1e-6, or a triangular one."""
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n))
     if kind == "Dr":
@@ -187,23 +192,41 @@ def real_matrix(kind, n, seed, scale):
     return scale * m
 
 
+def half_block_svd_error(form):
+    """||B V - U diag(sigma)||, ||U^T U - I|| and ||V^T V - I|| of an SVD form's
+    half block B = (A[0::2, 1::2] - A[1::2, 0::2]^T) / 2, sigma padded to U's width."""
+    b = 0.5 * (form.dense[0::2, 1::2] - form.dense[1::2, 0::2].T)
+    u, v = form.u, form.v
+    k = len(form.sigma)
+    return (np.linalg.norm(b @ v - u[:, :k] * form.sigma),
+            np.linalg.norm(u.T @ u - np.eye(len(u))), np.linalg.norm(v.T @ v - np.eye(len(v))))
+
+
 @PROPERTY
 @given(kind=st.sampled_from(["general", "Dr", "skew", "perturbed skew", "triangular"]),
-       n=st.integers(0, 40),
+       field=st.sampled_from(["real", "complex"]), n=st.integers(0, 40),
        seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
-def test_real_schur_form_is_a_unitary_triangularisation(kind, n, seed, scale):
-    a = real_matrix(kind, n, seed, scale)
-    form = schur_form(a)
+def test_every_square_matrix_gets_a_form_or_is_refused(kind, field, n, seed, scale):
+    # a complex matrix is (1 + i) times the real one: neither Hermitian nor
+    # skew unless it is zero; a 0 x 0 or 1 x 1 real matrix is symmetric
+    a = real_matrix(kind, n, seed, scale) * (1.0 + 1.0j if field == "complex" else 1.0)
+    refused = np.any(a) and (
+        field == "complex" or (n >= 2 and kind in ("general", "perturbed skew", "triangular")))
+    try:
+        form = schur_form(a)
+    except ParameterError as err:
+        assert refused and "neither Hermitian nor skew-Hermitian" in str(err)
+        return
+    assert not refused
     norm = np.linalg.norm(a)
-    assert form.dense.dtype == float and np.array_equal(form.dense, a)
-    assert np.all(np.tril(form.t, -1) == 0.0)
-    assert np.linalg.norm(form.z.conj().T @ form.z - np.eye(n)) <= 1e-13
-    assert np.linalg.norm(form.z @ form.t @ form.z.conj().T - a) <= 1e-13 * norm
-    # scipy's per-block conversion of the same real Schur form is the oracle
-    want = np.diag(scipy.linalg.rsf2csf(*scipy.linalg.schur(a, output="real"))[0])
-    got = form.t.diagonal()
-    rows, cols = scipy.optimize.linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
-    assert np.all(np.abs(got[rows] - want[cols]) <= 1e-13 * norm)
+    assert form.dense.dtype == a.dtype and np.array_equal(form.dense, a)
+    assert form.eig.shape == (n,)
+    if form.z is None:
+        b_err, u_err, v_err = half_block_svd_error(form)
+        assert b_err <= 1e-13 * norm and u_err <= 1e-13 and v_err <= 1e-13
+    want = np.linalg.eigvals(a)
+    rows, cols = scipy.optimize.linear_sum_assignment(np.abs(form.eig[:, None] - want[None, :]))
+    assert np.all(np.abs(form.eig[rows] - want[cols]) <= 1e-13 * norm)
 
 
 def hermitian_or_skew(kind, field, n, seed, scale):
@@ -233,10 +256,14 @@ def test_hermitian_and_skew_forms_are_unitary_diagonalisations(kind, field, n, s
     form = schur_form(a)
     dense = a.to_dense() if isinstance(a, SemiSep2) else a
     n, norm = len(dense), np.linalg.norm(dense)
-    assert form.diagonal and np.array_equal(form.t, np.diag(form.t.diagonal()))
-    assert np.linalg.norm(form.z.conj().T @ form.z - np.eye(n)) <= 1e-13
-    assert np.linalg.norm(form.z @ form.t @ form.z.conj().T - dense) <= 1e-13 * norm
-    want, got = np.linalg.eigvals(dense), form.t.diagonal()
+    assert form.eig.shape == (n,)
+    if form.z is None:  # the half-size SVD of a skew checkerboard: B V = U diag(sigma)
+        b_err, u_err, v_err = half_block_svd_error(form)
+        assert b_err <= 1e-13 * norm and u_err <= 1e-13 and v_err <= 1e-13
+    else:
+        assert np.linalg.norm(form.z.conj().T @ form.z - np.eye(n)) <= 1e-13
+        assert np.linalg.norm((form.z * form.eig) @ form.z.conj().T - dense) <= 1e-13 * norm
+    want, got = np.linalg.eigvals(dense), form.eig
     rows, cols = scipy.optimize.linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
     assert np.all(np.abs(got[rows] - want[cols]) <= 1e-13 * norm)
     # shifts on the scale of the spectrum, and off it
@@ -260,7 +287,7 @@ def test_skew_checkerboard_solves_are_certified_or_refused_at_any_scale(
     assert (form.u is not None) == bool(np.any(a))
     lams = np.array(shifts, dtype=complex) * 10.0 ** exponent
     if on_spectrum and n:
-        lams[0] = form.t.diagonal()[seed % n]
+        lams[0] = form.eig[seed % n]
     b = 10.0 ** rhs_exponent * np.random.default_rng(seed).standard_normal(n)
     # a result is certified, else a BallspecError; a bare RuntimeWarning is
     # an error under the suite's warning policy

@@ -108,12 +108,20 @@ def test_contour_that_does_not_converge_raises_contour_error():
         contour_apply(lambda z: float(z.imag > 0.0), np.diag([1.0, 2.0]), np.ones(2))
 
 
+def symmetric_dense(seed, n=24):
+    """A random real symmetric matrix and its eigenvalues."""
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    a = m + m.T
+    return a, np.linalg.eigvalsh(a)
+
+
 def test_ill_conditioned_dense_shift_is_refused_with_solve_error():
-    # lam*I - A is ill-conditioned (rcond ~ 1e-39), yet the Schur sweep has
-    # no zero pivot; the residual certificate against A refuses the result
-    a = np.diag(np.full(23, 2.0), 1)
+    # lam*I - A is ill-conditioned (rcond ~ 1e-10), yet no pivot is zero;
+    # the residual of a solve that large is eps |lam| ||x|| ~ 1e-6 ||rhs||,
+    # so the certificate against A refuses the result
+    a, w = symmetric_dense(1)
     with pytest.raises(SolveError, match="exceeds tolerance"):
-        solve_shifted(a, 0.05, np.ones(24))
+        solve_shifted(a, w[3] + 1e-9, np.ones(24))
 
 
 def counting(calls, name, fn):
@@ -125,8 +133,8 @@ def counting(calls, name, fn):
 
 
 def test_default_contour_takes_one_eigensolve(monkeypatch):
-    # the Schur form is the only eigensolve: the contour comes off its
-    # diagonal, and the skew checkerboard Dr's form is one half-size svd
+    # the form is the only eigensolve: the contour comes off its spectrum,
+    # and the skew checkerboard Dr's form is one half-size svd
     d = build_Dr(4, 2.0)
     v = np.linspace(-1.0, 1.0, 5)
     want = contour_apply(np.exp, schur_form(d), v)
@@ -140,7 +148,7 @@ def test_default_contour_takes_one_eigensolve(monkeypatch):
 
 
 def test_contour_from_a_schur_form_reads_its_diagonal(monkeypatch):
-    for a in (build_Dr(9, 2.0), np.diag([1.0 + 2.0j, -0.5, 3.0])):
+    for a in (build_Dr(9, 2.0), np.diag([2.0j, -0.5j, 3.0j])):
         form = schur_form(a)
         rho, (want_center, want_radius) = np.max(np.abs(np.linalg.eigvals(form.dense))), default_contour(a)
         with monkeypatch.context() as m:
@@ -151,7 +159,7 @@ def test_contour_from_a_schur_form_reads_its_diagonal(monkeypatch):
         assert radius == pytest.approx(want_radius, rel=1e-12)
 
 
-@pytest.mark.parametrize("a", [np.array([[3.5]]), -2.0 * np.eye(4), (1.0 + 5.0j) * np.eye(3),
+@pytest.mark.parametrize("a", [np.array([[3.5]]), -2.0 * np.eye(4), 5.0j * np.eye(3),
                                8.0 * np.eye(2)])
 def test_contour_of_a_one_point_spectrum_is_certified(a):
     # the spectrum has no spread, so the radius comes from the centre: a node
@@ -161,16 +169,30 @@ def test_contour_of_a_one_point_spectrum_is_certified(a):
     assert np.max(np.abs(contour_apply(np.exp, a, v) - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+def scaled(a, norm):
+    """The SemiSep2 a scaled to spectral norm ``norm``."""
+    s = norm / np.linalg.norm(a.to_dense(), 2)
+    return SemiSep2(size=a.size, p=a.p * s, q=a.q, u=a.u * s, v=a.v, diag=a.diag * s,
+                    parity_mask=a.parity_mask)
+
+
 def non_normal_semisep(seed, n=24, norm=2.0):
     """A random unmasked rank-2 SemiSep2 scaled to spectral norm ``norm``."""
+    return scaled(random_semisep(np.random.default_rng(seed), n), norm)
+
+
+def normal_semisep(seed, n=24, norm=2.0, sign=-1.0):
+    """A random unmasked rank-2 SemiSep2 scaled to spectral norm ``norm``:
+    skew (u = -q, v = p) for sign -1, symmetric (u = q, v = p, with a
+    diagonal) for sign 1."""
     a = random_semisep(np.random.default_rng(seed), n)
-    s = norm / np.linalg.norm(a.to_dense(), 2)
-    return SemiSep2(size=n, p=a.p * s, q=a.q, u=a.u * s, v=a.v, diag=a.diag * s)
+    diag = a.diag if sign > 0 else None
+    return scaled(SemiSep2(size=n, p=a.p, q=a.q, u=sign * a.q, v=a.p, diag=diag), norm)
 
 
 def test_schur_solve_matches_dense_solve():
     worst = 0.0
-    for a in (non_normal_semisep(11), build_Dr(30, 2.0)):
+    for a in (normal_semisep(11), normal_semisep(11, sign=1.0), build_Dr(30, 2.0)):
         form = schur_form(a)
         rng = np.random.default_rng(6)
         for lam in (0.7 + 0.4j, -3.0 + 0.0j, 0.05 - 2.5j):
@@ -186,16 +208,16 @@ def test_exactly_singular_shift_raises_solve_error():
     for op in (a, schur_form(a)):
         with pytest.raises(SolveError, match="singular"):
             solve_shifted(op, 2.0, np.ones(3))
-    # a shift on the diagonal of T makes T - lam*I exactly singular
-    form = schur_form(non_normal_semisep(12))
+    # an eigenvalue of the form is an exactly singular shift
+    form = schur_form(normal_semisep(12))
     with pytest.raises(SolveError, match="singular"):
-        solve_shifted(form, form.t[3, 3], np.ones(24))
+        solve_shifted(form, form.eig[3], np.ones(24))
 
 
-def test_contour_on_non_normal_rank2_operator_matches_expm():
+def test_contour_on_normal_rank2_operators_matches_expm():
     worst = 0.0
-    for seed in (13, 14, 15):
-        a = non_normal_semisep(seed)
+    for seed, sign in ((13, -1.0), (14, 1.0), (15, -1.0)):
+        a = normal_semisep(seed, sign=sign)
         v = np.random.default_rng(seed).standard_normal(a.size)
         ref = scipy.linalg.expm(a.to_dense()) @ v
         worst = max(worst, np.max(np.abs(contour_apply(np.exp, a, v) - ref)))
@@ -216,7 +238,7 @@ def converged_node_count(a, v, center, radius):
 
 
 def test_contour_factors_once_and_solves_once_per_node(monkeypatch):
-    a = non_normal_semisep(16)
+    a = normal_semisep(16)
     v = np.linspace(-1.0, 1.0, a.size)
     want = converged_node_count(a, v, *default_contour(a))
     calls = {"schur": 0, "eigh": 0, "solve": 0}
@@ -232,7 +254,7 @@ def test_contour_factors_once_and_solves_once_per_node(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "solve", counting(calls, "solve", scipy.linalg.solve))
     monkeypatch.setattr(semisep, "solve_shifted", counted_solve_shifted)
     contour_apply(np.exp, a, v)
-    assert calls == {"schur": 1, "eigh": 0, "solve": 0}
+    assert calls == {"schur": 0, "eigh": 1, "solve": 0}
     # one call per batch: the first 2n nodes, whose even columns give the
     # n-node sum, then 2n, 4n, ... new ones
     first = 2 * CONTOUR_FIRST_NODES
@@ -245,10 +267,12 @@ def as_dense(a):
     return a.to_dense() if isinstance(a, SemiSep2) else a
 
 
-def complex_dense(seed, n=20):
-    """A random complex dense matrix scaled to spectral norm 2."""
+def complex_dense(seed, n=20, sign=1.0):
+    """A random complex Hermitian (sign 1) or skew-Hermitian (sign -1)
+    matrix scaled to spectral norm 2."""
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = m + sign * m.conj().T
     return 2.0 * m / np.linalg.norm(m, 2)
 
 
@@ -257,7 +281,8 @@ SHIFTS = np.array([0.7 + 0.4j, -3.0 + 0.0j, 0.05 - 2.5j, 2.2 + 2.2j, -0.3 - 0.9j
 
 def test_shift_array_gives_the_scalar_solves_column_by_column():
     worst = 0.0
-    for a in (non_normal_semisep(11), build_Dr(30, 2.0), complex_dense(17)):
+    for a in (normal_semisep(11), build_Dr(30, 2.0), complex_dense(17),
+              complex_dense(18, sign=-1.0)):
         n = as_dense(a).shape[0]
         rng = np.random.default_rng(6)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -272,9 +297,9 @@ def test_shift_array_gives_the_scalar_solves_column_by_column():
 
 @pytest.mark.parametrize("where", [0, 2, 4])
 def test_exactly_singular_shift_in_an_array_raises_solve_error(where):
-    form = schur_form(non_normal_semisep(12))
-    # a shift on the diagonal of T, or of a diagonal A, is exactly singular
-    for op, lam, n in ((form, form.t[3, 3], 24), (np.diag([1.0, 2.0, 3.0]), 2.0, 3)):
+    form = schur_form(normal_semisep(12))
+    # an eigenvalue of the form, or the diagonal of a diagonal A, is exactly singular
+    for op, lam, n in ((form, form.eig[3], 24), (np.diag([1.0, 2.0, 3.0]), 2.0, 3)):
         lams = SHIFTS.copy()
         lams[where] = lam
         with pytest.raises(SolveError, match="singular"):
@@ -282,12 +307,11 @@ def test_exactly_singular_shift_in_an_array_raises_solve_error(where):
 
 
 def test_one_failing_column_raises_with_the_worst_residual():
-    # A is a nilpotent Jordan chain, so (lam*I - A)^{-1} grows like (2/lam)^n
-    # and only the column at the small shift fails its certificate
-    n = 24
-    a = np.diag(np.full(n - 1, 2.0), 1)
-    lams = np.array([3.0 + 1.0j, 0.7, -2.5j])
-    b = np.ones(n)
+    # the middle shift is 1e-9 from an eigenvalue, so its residual is about
+    # eps |lam| ||x|| ~ 1e-6 ||b||: only that column fails the default tol
+    a, w = symmetric_dense(2)
+    lams = np.array([3.0 + 1.0j, w[5] + 1e-9, -2.5j])
+    b = np.ones(len(a))
     for op in (a, schur_form(a)):
         x = solve_shifted(op, lams, b, tol=np.inf)
         res = np.linalg.norm(x * lams - a @ x - b[:, None], axis=0)
@@ -298,21 +322,34 @@ def test_one_failing_column_raises_with_the_worst_residual():
         assert err.value.residual == pytest.approx(np.max(res), rel=1e-6)
 
 
+def refused_before_any_factorisation(monkeypatch, a):
+    """The ParameterError of schur_form, solve_shifted and contour_apply on a,
+    with no eigensolve run; the message gives max|A -+ A^H| and the slack."""
+    n = as_dense(a).shape[0]
+    with monkeypatch.context() as m:
+        for name in ("schur", "eigh", "svd"):
+            m.setattr(scipy.linalg, name,
+                      lambda *args, name=name, **kwargs: pytest.fail(f"{name} was called"))
+        for call in (lambda: schur_form(a), lambda: solve_shifted(a, SHIFTS, np.ones(n)),
+                     lambda: contour_apply(np.exp, a, np.ones(n))):
+            with pytest.raises(ParameterError, match="neither Hermitian nor skew-Hermitian") as err:
+                call()
+            assert "max|A - A^H| = " in str(err.value) and "the slack " in str(err.value)
+    return err.value
+
+
 @pytest.mark.parametrize("seed", [0, 1])
-def test_real_schur_form_is_triangular_and_reproduces_the_matrix(seed):
-    dense = np.random.default_rng(seed).standard_normal((30, 30))
-    for a in (dense, build_Dr(30, 2.0), non_normal_semisep(seed)):
-        form = schur_form(a)
-        assert np.all(np.tril(form.t, -1) == 0.0)
-        err = np.linalg.norm(form.z @ form.t @ form.z.conj().T - as_dense(a), 2)
-        assert err <= 1e-13 * np.linalg.norm(as_dense(a), 2)
+def test_a_matrix_that_is_neither_hermitian_nor_skew_is_refused(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    for a in (rng.standard_normal((30, 30)), non_normal_semisep(seed),
+              complex_dense(seed) * (1.0 + 1.0j), np.diag([1.0 + 2.0j, -0.5, 3.0]),
+              np.diag(np.full(23, 2.0), 1)):
+        refused_before_any_factorisation(monkeypatch, a)
 
 
 def scaled_Dr(n, rho):
     """rho Dr / ||Dr||_2 for Dr = build_Dr(n - 1, 2.0), in generator form."""
-    d = build_Dr(n - 1, 2.0)
-    s = rho / np.linalg.norm(d.to_dense(), 2)
-    return SemiSep2(size=n, p=d.p * s, q=d.q, u=d.u * s, v=d.v, parity_mask=d.parity_mask)
+    return scaled(build_Dr(n - 1, 2.0), rho)
 
 
 def factorisations(monkeypatch, a):
@@ -332,41 +369,33 @@ def test_a_generator_scaled_skew_operator_takes_one_half_size_svd(monkeypatch, r
     a = scaled_Dr(96, rho)
     form, calls = factorisations(monkeypatch, a)
     assert not np.array_equal(form.dense, -form.dense.T)
-    assert calls == {"schur": 0, "eigh": 0, "svd": 1} and form.diagonal
+    assert calls == {"schur": 0, "eigh": 0, "svd": 1}
     assert form.u.shape == (48, 48) and form.sigma.shape == (48,) and form.v.shape == (48, 48)
-    assert np.array_equal(form.t, np.diag(form.t.diagonal()))
+    assert form.z is None and form.eig.shape == (96,)
     v = np.linspace(-1.0, 1.0, 96)
     ref = scipy.linalg.expm(form.dense) @ v
     assert np.max(np.abs(contour_apply(np.exp, form, v) - ref)) < 1e-9
 
 
-def test_a_perturbed_skew_matrix_keeps_the_triangular_schur_path(monkeypatch):
-    # a Hermitian perturbation of 1e-6 ||A|| is far above rounding, so the
-    # form is triangular; every solve is still certified against A
+def test_a_perturbed_skew_matrix_is_refused(monkeypatch):
+    # a symmetric perturbation of 1e-6 ||A|| is far above rounding, so A is
+    # neither skew nor symmetric; the message reports its max|A + A^T|
     skew = scaled_Dr(24, 5.0).to_dense()
     h = np.random.default_rng(8).standard_normal((24, 24))
     h = h + h.T
     a = skew + 1e-6 * np.linalg.norm(skew, 2) / np.linalg.norm(h, 2) * h
-    form, calls = factorisations(monkeypatch, a)
-    assert calls == {"schur": 1, "eigh": 0, "svd": 0} and not form.diagonal
-    assert np.any(np.triu(form.t, 1) != 0.0)
-    v = np.linspace(-1.0, 1.0, 24)
-    x = solve_shifted(form, SHIFTS, v)
-    want = np.stack([scipy.linalg.solve(lam * np.eye(24) - a, v) for lam in SHIFTS], axis=1)
-    assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
-    ref = scipy.linalg.expm(a) @ v
-    assert np.max(np.abs(contour_apply(np.exp, form, v) - ref)) < 1e-9
+    err = refused_before_any_factorisation(monkeypatch, a)
+    assert f"max|A + A^H| = {np.max(np.abs(a + a.T)):.3e}" in str(err)
 
 
 @pytest.mark.parametrize("k", [0, 7, 23])
 def test_a_shift_on_the_diagonal_form_is_refused_before_any_division(k):
     form = schur_form(scaled_Dr(24, 5.0))
-    assert form.diagonal
     lams = SHIFTS.copy()
-    lams[2] = form.t[k, k]
+    lams[2] = form.eig[k]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a division by zero would warn first
-        for lam in (form.t[k, k], lams):
+        for lam in (form.eig[k], lams):
             with pytest.raises(SolveError, match="singular"):
                 solve_shifted(form, lam, np.ones(24))
 
@@ -375,8 +404,8 @@ def test_a_shift_on_the_diagonal_form_is_refused_before_any_division(k):
 def test_a_shift_next_to_an_eigenvalue_is_certified_or_refused(k):
     a = scaled_Dr(24, 5.0)
     form = schur_form(a)
-    lam = form.t[k, k] + 1e-14
-    assert lam != form.t[k, k]
+    lam = form.eig[k] + 1e-14
+    assert lam != form.eig[k]
     b = np.linspace(-1.0, 1.0, 24)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -393,7 +422,8 @@ def test_real_matrices_never_reach_rsf2csf_and_keep_a_real_dense(monkeypatch):
                         lambda *args, **kwargs: pytest.fail("rsf2csf was called"))
     v = np.linspace(-1.0, 1.0, 24)
     general = 0.1 * np.random.default_rng(4).standard_normal((24, 24))
-    for a in (scaled_Dr(24, 5.0), non_normal_semisep(3), general):
+    for a in (scaled_Dr(24, 5.0), normal_semisep(3), normal_semisep(3, sign=1.0),
+              general + general.T):
         form = schur_form(a)
         assert form.dense.dtype == float and np.array_equal(form.dense, as_dense(a))
         x = solve_shifted(a, SHIFTS, v)
@@ -571,7 +601,7 @@ def test_an_odd_skew_checkerboard_solves_its_null_vector_and_refuses_a_zero_shif
 @pytest.mark.parametrize("n", [24, 25])
 def test_the_exact_shifts_plus_minus_i_sigma_are_refused_without_a_warning(n):
     form = schur_form(scaled_Dr(n, 5.0))
-    assert np.array_equal(np.sort_complex(form.t.diagonal()),
+    assert np.array_equal(np.sort_complex(form.eig),
                           np.sort_complex(np.concatenate([1j * form.sigma, -1j * form.sigma,
                                                           np.zeros(n % 2)])))
     b = np.ones(n)
@@ -592,8 +622,45 @@ def test_a_symmetric_or_nearly_checkerboard_matrix_keeps_the_eigh_path(monkeypat
     off[4, 6] = 1e-300  # one even-parity entry, far below the skew tolerance
     for a in (symmetric, off):
         form, calls = factorisations(monkeypatch, a)
-        assert calls == {"schur": 0, "eigh": 1, "svd": 0} and form.diagonal and form.u is None
+        assert calls == {"schur": 0, "eigh": 1, "svd": 0}
+        assert form.u is None and form.z.shape == (24, 24)
         v = np.linspace(-1.0, 1.0, 24)
         x = solve_shifted(form, SHIFTS, v)
         want = np.stack([scipy.linalg.solve(lam * np.eye(24) - a, v) for lam in SHIFTS], 1)
         assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [96, 97])
+def test_the_svd_form_of_dr_holds_only_its_spectrum_and_half_blocks(n):
+    form = schur_form(build_Dr(n - 1, 2.0))
+    assert form.z is None and form.eig.shape == (n,)
+    assert form.u.shape == ((n + 1) // 2,) * 2 and form.v.shape == (n // 2,) * 2
+
+
+def test_an_overflowing_g_is_refused_without_a_warning():
+    # exp overflows on the right of a circle of radius about 1250
+    a = scaled_Dr(96, 1000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="non-finite"):
+            contour_apply(np.exp, a, np.linspace(-1.0, 1.0, 96))
+
+
+@pytest.mark.parametrize("field", ["p", "q", "u", "v", "diag"])
+@pytest.mark.parametrize("bad", [1.0j, np.nan, np.inf])
+def test_a_complex_or_non_finite_generator_is_refused(field, bad):
+    # a complex generator would lose its imaginary part in the float cast,
+    # and a NaN one would give a NaN matvec
+    kwargs = {name: np.ones(3) for name in ("p", "q", "u", "v", "diag")}
+    kwargs[field] = kwargs[field] * bad if bad == 1.0j else np.array([1.0, bad, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="must be real" if bad == 1.0j else "non-finite"):
+            SemiSep2(size=3, **kwargs)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-10, -np.inf])
+def test_a_nan_or_negative_tol_is_refused(tol):
+    with pytest.raises(ParameterError, match="tol"):
+        solve_shifted(np.eye(2), 5.0, np.ones(2), tol=tol)
+    assert np.array_equal(solve_shifted(np.eye(2), 5.0, np.ones(2), tol=np.inf), np.full(2, 0.25))
