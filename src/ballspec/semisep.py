@@ -19,7 +19,8 @@ real SVD of its half-size block, any other A one eigh.  solve_shifted and
 contour_apply read the form: every shift shares one diagonal solve and one
 refinement step, and every column is certified by its residual against
 the dense A.  contour_apply factors A once and makes one batched solve per
-batch of contour nodes.
+batch of contour nodes, which lie on an ellipse whose foci are the ends of
+the spectral segment on the real or the imaginary axis.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ def _as_gen(what, g, size):
     if g.shape[0] > 2 or g.shape[1] != size:
         raise SizeMismatchError(f"generator shape {g.shape} incompatible with size {size}")
     return g
+
+
+#: rows of u^T v that SemiSep2.to_dense forms at a time
+_DENSE_ROWS = 256
 
 
 @dataclass
@@ -117,8 +122,21 @@ class SemiSep2:
         return self.p * rows, self.q * cols, self.u * rows, self.v * cols, np.zeros(self.size)
 
     def to_dense(self) -> np.ndarray:
+        """The dense matrix, filled in one n x n array.
+
+        Its lower part is one product p^T q; the upper part and the diagonal
+        overwrite it, u^T v a block of _DENSE_ROWS rows at a time, so no
+        second n x n array is formed.  The entries equal those of
+        tril(p^T q, -1) + triu(u^T v, 1) + diag(diag) bit for bit.
+        """
         p, q, u, v, diag = self._generators()
-        return np.tril(p.T @ q, -1) + np.triu(u.T @ v, 1) + np.diag(diag)
+        out = p.T @ q
+        for i in range(0, self.size, _DENSE_ROWS):
+            rows = u[:, i:i + _DENSE_ROWS].T @ v[:, i:]
+            above = np.arange(rows.shape[1]) > np.arange(len(rows))[:, None]
+            np.copyto(out[i:i + len(rows), i:], rows, where=above)
+        out[np.diag_indices(self.size)] = diag + 0.0  # -0.0 becomes +0.0, as in a sum of parts
+        return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Dense-equivalent product A @ x in O(size) flops via prefix sums."""
@@ -367,8 +385,10 @@ def solve_shifted(a, lam, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return x[:, 0] if lams.ndim == 0 else x
 
 
-#: default_contour's radius over the spectrum's spread about its centroid
-CONTOUR_MARGIN = 1.25
+#: mu of contour_apply's ellipse center + focus cosh(mu + i theta): its sums
+#: converge like e^(-mu N), and it reaches |focus| sinh(mu) off the spectral
+#: segment, so e^z on it grows like e^(0.52 rho) for a skew A of radius rho
+CONTOUR_MARGIN = 0.5
 #: contour_apply's relative agreement target, first node count and node budget
 CONTOUR_TOL = 1e-10
 CONTOUR_FIRST_NODES = 32
@@ -381,62 +401,78 @@ def spectral_radius_estimate(a) -> float:
     return float(np.max(np.abs(eig))) if eig.size else 0.0
 
 
-def default_contour(a) -> tuple[complex, float]:
-    """(center, radius): a circle about the eigenvalue centroid, CONTOUR_MARGIN times its spread.
+def default_contour(a) -> tuple[complex, complex]:
+    """(center, focus): the spectrum of A lies on the segment center + t focus, |t| <= 1.
 
-    The spread counts as at least a tenth of the centroid's modulus (and
-    1e-8), so the circle strictly encloses every eigenvalue.  The
-    eigenvalues are read off A's form; a SchurForm gives them without a
-    further factorisation.
+    A Hermitian or skew-Hermitian A has its eigenvalues on the real or the
+    imaginary axis, so the ends of the segment are the eigenvalues with the
+    least and the greatest real + imaginary part.  |focus| counts as at
+    least a tenth of |center| (and 1e-8), so a spectrum without spread
+    takes the same ellipse about its point.  contour_apply's ellipse has
+    its foci at center -+ focus.  The eigenvalues are read off A's form; a
+    SchurForm gives them without a further factorisation.
     """
     eig = schur_form(a).eig
     if eig.size == 0:
         return 0.0, 1e-8
-    center = complex(np.mean(eig))
-    spread = float(np.max(np.abs(eig - center)))
+    key = eig.real + eig.imag
+    lo, hi = eig[np.argmin(key)], eig[np.argmax(key)]
+    center, focus = complex(0.5 * (lo + hi)), complex(0.5 * (hi - lo))
     # a node at distance r from an eigenvalue lam is solved to about
-    # eps |lam| / r relative, so a spectrum without spread keeps r >= |c| / 10
+    # eps |lam| / r relative, so a spectrum without spread keeps its nodes
+    # |focus| sinh(CONTOUR_MARGIN) >= |c| / 20 from its point
     floor = max(1e-8, 0.1 * abs(center))
-    return center, CONTOUR_MARGIN * max(spread, floor)
+    if abs(focus) < floor:
+        focus = floor * (focus / abs(focus) if focus else 1.0)
+    return center, focus
 
 
 def contour_apply(g, a, v: np.ndarray) -> np.ndarray:
     """Apply the analytic matrix function g(A) to v by resolvent quadrature.
 
-    Trapezoidal rule on default_contour's circle, which encloses the
-    spectrum; the node count starts at CONTOUR_FIRST_NODES and is doubled
-    until two successive results agree to CONTOUR_TOL (relative to ||v||,
-    both norms scaled so that they hold at any scale of v), or else
-    ContourError is raised past CONTOUR_MAX_NODES nodes.  A is Hermitian or
-    skew-Hermitian and is factored once by schur_form (one half-size SVD
-    for a skew checkerboard A such as the skew Dr, else one eigh), and the
-    circle is placed from the form's eigenvalues, so no other eigensolve
-    runs.  Every batch of nodes is one batched solve_shifted call.  The
-    first batch holds the first two node counts: the 2n-th roots of unity
-    contain the n-th ones as their even-indexed members, so the n-node sum
-    is read off its even columns.  Each later doubling solves only at its
-    new (odd-indexed) nodes, and the node sum carries over.  g is called
-    once per node with a scalar.  A non-finite entry of v or of A, or an A
-    that is neither Hermitian nor skew-Hermitian, raises ParameterError
-    before the factorisation's solves, and a value of g that is not finite,
-    overflow included, before its batch is solved.
+    Trapezoidal rule on the ellipse z = center + focus cosh(mu + i theta),
+    mu = CONTOUR_MARGIN, whose foci center -+ focus are the ends of the
+    spectral segment (default_contour), so it encloses the spectrum (Trefethen
+    and Weideman, SIAM Review 56, 2014).  The node at theta_j = 2 pi j / N
+    has the weight g(z_j) focus sinh(mu + i theta_j) / N, and the sums
+    converge like e^(-mu N), while |e^z| grows only like e^(|focus| sinh mu)
+    off the segment of a skew A.  The node count starts at
+    CONTOUR_FIRST_NODES and is doubled until two successive results agree to
+    CONTOUR_TOL (relative to ||v||, both norms scaled so that they hold at
+    any scale of v), or else ContourError is raised past CONTOUR_MAX_NODES
+    nodes.  A is Hermitian or skew-Hermitian and is factored once by
+    schur_form (one half-size SVD for a skew checkerboard A such as the skew
+    Dr, else one eigh), and the ellipse is placed from the form's
+    eigenvalues, so no other eigensolve runs.  Every batch of nodes is one
+    batched solve_shifted call.  The first batch holds the first two node
+    counts: the 2n equispaced angles contain the n ones as their
+    even-indexed members, so the n-node sum is read off its even columns.
+    Each later doubling solves only at its new (odd-indexed) nodes, and the
+    node sum carries over.  g is called once per node with a scalar.  A
+    non-finite entry of v or of A, or an A that is neither Hermitian nor
+    skew-Hermitian, raises ParameterError before the factorisation's
+    solves, and a value of g that is not finite, overflow included, before
+    its batch is solved.
     """
     v = np.asarray(v, dtype=complex)
     _refuse_non_finite("vector", v)
     form = schur_form(a)
-    center, radius = default_contour(form)
+    center, focus = default_contour(form)
     scale = _norm(v)
     total = np.zeros_like(v)
     prev = None
     nodes = 2 * CONTOUR_FIRST_NODES
     new = np.arange(nodes)
     while nodes <= CONTOUR_MAX_NODES:
-        lams = center + radius * np.exp(1j * (2.0 * np.pi * new / nodes))
+        w = CONTOUR_MARGIN + 1j * (2.0 * np.pi * new / nodes)
+        lams = center + focus * np.cosh(w)
         # an overflowing g gives inf or nan, which the check below refuses
         with np.errstate(over="ignore", invalid="ignore"):
             values = np.array([g(lam) for lam in lams])
         _refuse_non_finite("g on the contour", values)
-        weights = values * (lams - center)
+        # dz = i focus sinh(w) d theta, and the 1 / (2 pi i) of the integral
+        # leaves focus sinh(w) / nodes per node
+        weights = values * (focus * np.sinh(w))
         x = solve_shifted(form, lams, v, tol=1e-8)
         if prev is None:
             prev = x[:, ::2] @ weights[::2] / CONTOUR_FIRST_NODES

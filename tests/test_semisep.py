@@ -9,6 +9,8 @@ import scipy.linalg
 import ballspec.semisep as semisep
 from ballspec.semisep import (
     CONTOUR_FIRST_NODES,
+    CONTOUR_MARGIN,
+    CONTOUR_MAX_NODES,
     CONTOUR_TOL,
     ContourError,
     SemiSep2,
@@ -48,6 +50,30 @@ def test_matvec_matches_dense_on_seeded_instances():
             y = a.matvec(x)
             worst = max(worst, np.max(np.abs(y - a.to_dense() @ x)))
     assert worst < 1e-12
+
+
+def sum_of_parts(a):
+    """The dense matrix as the sum of its three parts, each an n x n array."""
+    p, q, u, v, diag = a._generators()
+    return np.tril(p.T @ q, -1) + np.triu(u.T @ v, 1) + np.diag(diag)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 7, 96, 300, 601])
+def test_to_dense_equals_the_sum_of_its_parts_bit_for_bit(n, masked):
+    # signed zeros included: the sum of the parts turns a -0.0 on the
+    # diagonal into +0.0
+    a = random_semisep(np.random.default_rng(n), n, masked)
+    if not masked:
+        a.diag[::3] = -0.0
+    got, want = a.to_dense(), sum_of_parts(a)
+    assert got.shape == want.shape == (n, n) and got.dtype == want.dtype == float
+    assert got.tobytes() == want.tobytes()
+
+
+def test_to_dense_of_dr_equals_the_sum_of_its_parts_bit_for_bit():
+    for a in (build_Dr(95, 2.0), scaled_Dr(96, 24.0), build_Dr(600, 2.0)):
+        assert a.to_dense().tobytes() == sum_of_parts(a).tobytes()
 
 
 def test_matvec_complex_vectors():
@@ -92,7 +118,7 @@ def test_contour_exponential_matches_dense():
 
 
 def test_contour_on_semiseparable_operator():
-    # modest truncation keeps exp moderate on the contour circle
+    # modest truncation keeps exp moderate on the contour
     d = build_Dr(4, 2.0)
     rng = np.random.default_rng(2)
     v = rng.standard_normal(5)
@@ -132,6 +158,19 @@ def counting(calls, name, fn):
     return wrapper
 
 
+def recorded_shifts(monkeypatch):
+    """A list that receives the number of shifts of each later solve_shifted call."""
+    shifts = []
+    solve_shifted_ = semisep.solve_shifted
+
+    def counted_solve_shifted(form, lams, rhs, **kwargs):
+        shifts.append(np.size(lams))
+        return solve_shifted_(form, lams, rhs, **kwargs)
+
+    monkeypatch.setattr(semisep, "solve_shifted", counted_solve_shifted)
+    return shifts
+
+
 def test_default_contour_takes_one_eigensolve(monkeypatch):
     # the form is the only eigensolve: the contour comes off its spectrum,
     # and the skew checkerboard Dr's form is one half-size svd
@@ -150,19 +189,35 @@ def test_default_contour_takes_one_eigensolve(monkeypatch):
 def test_contour_from_a_schur_form_reads_its_diagonal(monkeypatch):
     for a in (build_Dr(9, 2.0), np.diag([2.0j, -0.5j, 3.0j])):
         form = schur_form(a)
-        rho, (want_center, want_radius) = np.max(np.abs(np.linalg.eigvals(form.dense))), default_contour(a)
+        rho, (want_center, want_focus) = np.max(np.abs(np.linalg.eigvals(form.dense))), default_contour(a)
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eigvals", lambda *args: pytest.fail("eigvals was called"))
-            center, radius = default_contour(form)
+            center, focus = default_contour(form)
             assert spectral_radius_estimate(form) == pytest.approx(rho, rel=1e-12)
-        assert center == pytest.approx(want_center, abs=1e-12)
-        assert radius == pytest.approx(want_radius, rel=1e-12)
+        assert center == want_center and focus == want_focus
+
+
+@pytest.mark.parametrize("a", [build_Dr(9, 2.0), build_Dr(10, 2.0), np.diag([2.0j, -0.5j, 3.0j]),
+                               np.diag([4.0, -1.0, 0.5]), np.diag([-3.0, -2.0]),
+                               np.diag([1e3, 1e3 + 1e-6]), np.array([[3.5]]), 5.0j * np.eye(3),
+                               np.zeros((2, 2))])
+def test_the_contour_foci_are_the_ends_of_the_spectral_segment(a):
+    # every eigenvalue is center + t focus with t real and |t| <= 1, and
+    # |focus| is half the segment's length, or its floor if that is more
+    eig = np.linalg.eigvals(as_dense(a))
+    center, focus = default_contour(a)
+    t = (eig - center) / focus
+    assert np.all(np.abs(t.imag) <= 1e-12) and np.all(np.abs(t.real) <= 1.0 + 1e-12)
+    distance = np.abs(eig[:, None] - eig)
+    i, j = np.unravel_index(np.argmax(distance), distance.shape)
+    assert center == pytest.approx(0.5 * (eig[i] + eig[j]), abs=1e-12)
+    assert abs(focus) == pytest.approx(max(0.5 * distance[i, j], 1e-8, 0.1 * abs(center)), rel=1e-12)
 
 
 @pytest.mark.parametrize("a", [np.array([[3.5]]), -2.0 * np.eye(4), 5.0j * np.eye(3),
                                8.0 * np.eye(2)])
 def test_contour_of_a_one_point_spectrum_is_certified(a):
-    # the spectrum has no spread, so the radius comes from the centre: a node
+    # the spectrum has no spread, so the focus comes from the centre: a node
     # 1e-8 from lam is solved to only about eps |lam| / 1e-8 relative
     v = np.linspace(-1.0, 1.0, len(a))
     ref = scipy.linalg.expm(a) @ v
@@ -224,17 +279,22 @@ def test_contour_on_normal_rank2_operators_matches_expm():
     assert worst < 1e-9
 
 
-def converged_node_count(a, v, center, radius):
-    """Node count at which the full trapezoidal sums first agree, by dense solves."""
+def converged_node_count(a, v, center, focus):
+    """Node count at which the full trapezoidal sums of exp on the ellipse
+    center + focus cosh(CONTOUR_MARGIN + i theta) first agree, by one dense
+    solve per node; None if they do not within CONTOUR_MAX_NODES nodes."""
     dense = a.to_dense()
     nodes, prev = CONTOUR_FIRST_NODES, None
-    while True:
-        lams = center + radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-        acc = sum(np.exp(lam) * (lam - center)
-                  * np.linalg.solve(lam * np.eye(a.size) - dense, v) for lam in lams) / nodes
+    while nodes <= CONTOUR_MAX_NODES:
+        w = CONTOUR_MARGIN + 2j * np.pi * np.arange(nodes) / nodes
+        lams = center + focus * np.cosh(w)
+        acc = sum(np.exp(lam) * focus * np.sinh(wj)
+                  * np.linalg.solve(lam * np.eye(a.size) - dense, v)
+                  for lam, wj in zip(lams, w)) / nodes
         if prev is not None and np.linalg.norm(acc - prev) <= CONTOUR_TOL * np.linalg.norm(v):
             return nodes
         nodes, prev = 2 * nodes, acc
+    return None
 
 
 def test_contour_factors_once_and_solves_once_per_node(monkeypatch):
@@ -242,17 +302,10 @@ def test_contour_factors_once_and_solves_once_per_node(monkeypatch):
     v = np.linspace(-1.0, 1.0, a.size)
     want = converged_node_count(a, v, *default_contour(a))
     calls = {"schur": 0, "eigh": 0, "solve": 0}
-    shifts = []  # the shifts of each solve_shifted call
-    solve_shifted_ = semisep.solve_shifted
-
-    def counted_solve_shifted(form, lams, rhs, **kwargs):
-        shifts.append(np.size(lams))
-        return solve_shifted_(form, lams, rhs, **kwargs)
-
+    shifts = recorded_shifts(monkeypatch)
     monkeypatch.setattr(scipy.linalg, "schur", counting(calls, "schur", scipy.linalg.schur))
     monkeypatch.setattr(scipy.linalg, "eigh", counting(calls, "eigh", scipy.linalg.eigh))
     monkeypatch.setattr(scipy.linalg, "solve", counting(calls, "solve", scipy.linalg.solve))
-    monkeypatch.setattr(semisep, "solve_shifted", counted_solve_shifted)
     contour_apply(np.exp, a, v)
     assert calls == {"schur": 0, "eigh": 1, "solve": 0}
     # one call per batch: the first 2n nodes, whose even columns give the
@@ -533,17 +586,9 @@ def test_a_scaled_vector_takes_the_same_node_count(monkeypatch, scale):
     a = scaled_Dr(96, 10.0)
     v = np.random.default_rng(7).standard_normal(96) + 0.5j
     ref = scipy.linalg.expm(a.to_dense()) @ v
-    solve_shifted_ = semisep.solve_shifted
-
     def node_counts(w):
-        shifts = []
-
-        def counted_solve_shifted(form, lams, rhs, **kwargs):
-            shifts.append(np.size(lams))
-            return solve_shifted_(form, lams, rhs, **kwargs)
-
         with monkeypatch.context() as m:
-            m.setattr(semisep, "solve_shifted", counted_solve_shifted)
+            shifts = recorded_shifts(m)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 return contour_apply(np.exp, a, w), shifts
@@ -637,9 +682,28 @@ def test_the_svd_form_of_dr_holds_only_its_spectrum_and_half_blocks(n):
     assert form.u.shape == ((n + 1) // 2,) * 2 and form.v.shape == (n // 2,) * 2
 
 
+@pytest.mark.parametrize("rho", [16.0, 24.0])
+def test_a_skew_operator_of_radius_16_or_24_converges(rho):
+    # the ellipse reaches only rho sinh(CONTOUR_MARGIN) to the right, so
+    # e^z stays small enough on it for the sums to agree to CONTOUR_TOL
+    a = scaled_Dr(96, rho)
+    v = np.random.default_rng(int(rho)).standard_normal(96) + 0.5j
+    ref = scipy.linalg.expm(a.to_dense()) @ v
+    assert np.linalg.norm(contour_apply(np.exp, a, v) - ref) <= 1e-8 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("rho", [1.0, 10.0])
+def test_a_skew_operator_of_radius_up_to_10_takes_128_nodes_in_two_batches(monkeypatch, rho):
+    # the 32- and 64-node sums disagree, the 64- and 128-node sums agree
+    shifts = recorded_shifts(monkeypatch)
+    contour_apply(np.exp, scaled_Dr(96, rho), np.linspace(-1.0, 1.0, 96) + 0.25j)
+    assert shifts == [2 * CONTOUR_FIRST_NODES, 2 * CONTOUR_FIRST_NODES]
+
+
 def test_an_overflowing_g_is_refused_without_a_warning():
-    # exp overflows on the right of a circle of radius about 1250
-    a = scaled_Dr(96, 1000.0)
+    # exp overflows on the right of the ellipse, which reaches about
+    # 2000 sinh(CONTOUR_MARGIN) > 709 on the real axis
+    a = scaled_Dr(96, 2000.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match="non-finite"):
